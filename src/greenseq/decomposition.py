@@ -21,11 +21,10 @@ underlying quiver; :func:`construct_mgs` builds it.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .quiver import (
     Label,
@@ -36,6 +35,7 @@ from .quiver import (
     make_quiver,
     mutate,
 )
+from .serialize import _json_labels
 
 
 class DecompositionError(QuiverError):
@@ -410,31 +410,54 @@ def decompose_with_chains(
 
 
 class OrderRelation:
-    """Cover pairs over chain vertices with a cached transitive closure."""
+    """Cover pairs over chain vertices and one descending linear extension.
+
+    The extension is computed once by Kahn's algorithm over the covers, with
+    a heap of ready vertices, so ties break by smallest chain, then smallest
+    position.  A cycle among the covers (a self-cover included) leaves
+    vertices that never become ready and raises OrderCycleDetectedError.
+    No closure is stored: :meth:`greater` searches the covers when called.
+    """
 
     def __init__(self, vertices: Sequence[ChainVertex], covers: Iterable[tuple[ChainVertex, ChainVertex]]):
         self.vertices = tuple(sorted(vertices))
-        self.covers = tuple(sorted(set(covers)))
-        index = {cv: i for i, cv in enumerate(self.vertices)}
+        self.covers = tuple(dict.fromkeys(covers))
+        self._index = {cv: i for i, cv in enumerate(self.vertices)}
         n = len(self.vertices)
-        reach = np.zeros((n, n), dtype=bool)
+        self._below: list[list[int]] = [[] for _ in range(n)]
+        above = [0] * n
         for hi, lo in self.covers:
-            reach[index[hi], index[lo]] = True
-        for k in range(n):
-            reach |= np.outer(reach[:, k], reach[k, :])
-        for i in range(n):
-            for j in range(i + 1, n):
-                if reach[i, j] and reach[j, i]:
-                    raise OrderCycleDetectedError(
-                        f"order cycle between {self.vertices[i]} and {self.vertices[j]}"
-                    )
-        if np.any(np.diagonal(reach)):
-            raise OrderCycleDetectedError("order relates a vertex to itself")
-        self._index = index
-        self._closure = reach
+            i, j = self._index[hi], self._index[lo]
+            self._below[i].append(j)
+            above[j] += 1
+        ready = [i for i in range(n) if above[i] == 0]  # ascending, so a heap
+        out: list[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            out.append(i)
+            for j in self._below[i]:
+                above[j] -= 1
+                if above[j] == 0:
+                    heapq.heappush(ready, j)
+        if len(out) != n:
+            stuck = next(cv for i, cv in enumerate(self.vertices) if above[i])
+            raise OrderCycleDetectedError(f"order cycle through {stuck}")
+        self.extension = tuple(self.vertices[i] for i in out)
 
     def greater(self, u: ChainVertex, v: ChainVertex) -> bool:
-        return bool(self._closure[self._index[u], self._index[v]])
+        """Whether a chain of covers leads down from u to v (depth-first search)."""
+        target = self._index[v]
+        stack = list(self._below[self._index[u]])
+        seen = set(stack)
+        while stack:
+            i = stack.pop()
+            if i == target:
+                return True
+            for j in self._below[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return False
 
 
 def _pair_order_lines(
@@ -516,7 +539,7 @@ def cover_relations(dec: ChainDecomposition) -> OrderRelation:
 
 
 def is_greater(dec: ChainDecomposition, u, v) -> bool:
-    """Transitive-closure comparison; accepts labels or chain vertices."""
+    """Whether u lies above v in the vertex order; accepts labels or chain vertices."""
     if not isinstance(u, ChainVertex):
         u = dec.chain_vertex_of(u)
     if not isinstance(v, ChainVertex):
@@ -528,30 +551,10 @@ def descending_order(dec: ChainDecomposition) -> list[ChainVertex]:
     """A deterministic descending linear extension of the vertex order.
 
     Each listed element is maximal among those not yet listed; ties break by
-    smallest chain index, then smallest position.
+    smallest chain index, then smallest position.  This is the extension
+    Kahn's algorithm computed when the order was built.
     """
-    order = dec.order()
-    above: dict[ChainVertex, int] = {cv: 0 for cv in order.vertices}
-    below: dict[ChainVertex, list[ChainVertex]] = {cv: [] for cv in order.vertices}
-    for hi, lo in order.covers:
-        above[lo] += 1
-        below[hi].append(lo)
-    ready = sorted(cv for cv, cnt in above.items() if cnt == 0)
-    out: list[ChainVertex] = []
-    while ready:
-        cv = ready.pop(0)
-        out.append(cv)
-        changed = False
-        for lo in below[cv]:
-            above[lo] -= 1
-            if above[lo] == 0:
-                ready.append(lo)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(out) != len(order.vertices):
-        raise OrderCycleDetectedError("order has no linear extension")
-    return out
+    return list(dec.order().extension)
 
 
 def associated_sequence(dec: ChainDecomposition, cv: ChainVertex) -> MutationSequence:
@@ -574,7 +577,8 @@ def construct_mgs(dec: ChainDecomposition) -> MutationSequence:
     """
     steps: list[Label] = []
     for cv in descending_order(dec):
-        steps.extend(associated_sequence(dec, cv))
+        chain = dec.chains[cv.chain - 1]
+        steps.extend(chain[: len(chain) - cv.position + 1])
     return MutationSequence(tuple(steps))
 
 
@@ -677,8 +681,21 @@ def decomposition_to_dict(dec: ChainDecomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> ChainDecomposition:
-    obliques = [(o["from"], o["to"]) for o in data.get("oblique", [])]
-    return build_decomposition(data.get("chains", []), obliques)
+    """Parse the JSON form; a malformed field raises DecompositionError."""
+    if not isinstance(data, dict):
+        raise DecompositionError("decomposition JSON must be an object")
+    chains = data.get("chains", [])
+    if not isinstance(chains, list):
+        raise DecompositionError(f"'chains' must be a list of label lists, got {type(chains).__name__}")
+    obliques = data.get("oblique", [])
+    if not isinstance(obliques, list) or not all(
+        isinstance(o, dict) and "from" in o and "to" in o for o in obliques
+    ):
+        raise DecompositionError("'oblique' must be a list of objects with 'from' and 'to'")
+    return build_decomposition(
+        [_json_labels(c, "a chain", DecompositionError) for c in chains],
+        [_json_labels([o["from"], o["to"]], "an oblique", DecompositionError) for o in obliques],
+    )
 
 
 def random_decomposition(

@@ -9,7 +9,10 @@ File formats:
   "oblique": [{"from":, "to":}, ...]}``.
 
 Labels are strings on output; numeric labels on input are accepted and
-canonicalized to strings.  DOT output is sorted so exports are stable.
+canonicalized to strings.  Input of any other shape (a string where a list
+is due, an arrow without both endpoints, a multiplicity that is not a
+positive integer) raises QuiverError.  DOT output is sorted so exports are
+stable.
 """
 
 from __future__ import annotations
@@ -29,6 +32,21 @@ from .quiver import (
 )
 
 
+def _json_labels(
+    values: Any, what: str, error: type[QuiverError] = QuiverError
+) -> list[str]:
+    """A JSON list of vertex labels as strings; raises ``error`` on any other shape.
+
+    Strings and numbers are labels; booleans, null, lists and objects are not.
+    """
+    if not isinstance(values, list):
+        raise error(f"{what} must be a list of labels, got {type(values).__name__}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+            raise error(f"{what} has a label that is not a string or number: {v!r}")
+    return [str(v) for v in values]
+
+
 def quiver_to_dict(q: Union[Quiver, IceQuiver]) -> dict[str, Any]:
     frozen: list[str] = []
     if isinstance(q, IceQuiver):
@@ -45,14 +63,21 @@ def quiver_to_dict(q: Union[Quiver, IceQuiver]) -> dict[str, Any]:
 
 def quiver_from_dict(data: dict[str, Any]) -> Union[Quiver, IceQuiver]:
     """Parse a quiver dict; returns an IceQuiver when ``frozen`` is non-empty."""
-    if "vertices" not in data:
-        raise QuiverError("quiver JSON must have a 'vertices' field")
-    arrows = [
-        (a["from"], a["to"], int(a.get("mult", 1)))
-        for a in data.get("arrows", [])
-    ]
-    q = make_quiver(data["vertices"], arrows)
-    frozen = frozenset(str(f) for f in data.get("frozen", []))
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise QuiverError("quiver JSON must be an object with a 'vertices' field")
+    arrows = data.get("arrows", [])
+    if not isinstance(arrows, list):
+        raise QuiverError("quiver 'arrows' must be a list")
+    parsed = []
+    for a in arrows:
+        if not isinstance(a, dict) or "from" not in a or "to" not in a:
+            raise QuiverError(f"arrow needs 'from' and 'to': {a!r}")
+        mult = a.get("mult", 1)
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise QuiverError(f"arrow 'mult' must be a positive integer: {a!r}")
+        parsed.append((*_json_labels([a["from"], a["to"]], "arrow"), mult))
+    q = make_quiver(_json_labels(data["vertices"], "quiver 'vertices'"), parsed)
+    frozen = frozenset(_json_labels(data.get("frozen", []), "quiver 'frozen'"))
     if frozen:
         return IceQuiver(q, frozen)
     return q
@@ -69,7 +94,9 @@ def sequence_to_dict(seq: MutationSequence, order: str = "execution") -> dict[st
 def sequence_from_dict(
     data: dict[str, Any], default_order: str = "execution"
 ) -> MutationSequence:
-    steps = [str(s) for s in data.get("steps", [])]
+    if not isinstance(data, dict):
+        raise QuiverError("sequence JSON must be an object")
+    steps = _json_labels(data.get("steps", []), "sequence 'steps'")
     order = data.get("order", default_order)
     if order == "execution":
         return MutationSequence.from_execution(steps)

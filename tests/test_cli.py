@@ -229,6 +229,61 @@ class TestVerify:
         assert run(capsys, "verify", str(bad), str(bad))[0] == 2
 
 
+class TestMalformedInput:
+    """Each malformed file is invalid input: exit 2 and no exception."""
+
+    @pytest.mark.parametrize(
+        "arrow",
+        [
+            {"from": "b", "to": "a", "mult": "x"},
+            {"from": "b", "to": "a", "mult": 2.7},
+            {"from": "b", "to": "a", "mult": True},
+            {"from": "b", "to": "a", "mult": 0},
+            {"from": "b"},
+            {"to": "a"},
+        ],
+        ids=["mult-string", "mult-float", "mult-bool", "mult-zero", "no-to", "no-from"],
+    )
+    def test_bad_arrow(self, capsys, tmp_path, arrow):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"vertices": ["a", "b"], "arrows": [arrow]}))
+        code, _, err = run(capsys, "export", str(qfile), "--format", "json")
+        assert code == 2
+        assert "arrow" in err
+
+    def test_steps_string_is_not_a_list(self, capsys, tmp_path):
+        qfile = tmp_path / "q.json"
+        sfile = tmp_path / "s.json"
+        qfile.write_text(
+            json.dumps({"vertices": ["a", "b"], "arrows": [{"from": "b", "to": "a"}]})
+        )
+        sfile.write_text(json.dumps({"steps": "ab"}))
+        code, _, err = run(capsys, "verify", str(qfile), str(sfile))
+        assert code == 2
+        assert "steps" in err
+
+    @pytest.mark.parametrize(
+        "decomposition",
+        [
+            {"chains": "a1", "oblique": [{"from": "a", "to": "1"}]},
+            {"chains": [["a"], ["1"]], "oblique": [{"from": "a"}]},
+            {"chains": [["a"], ["1"]], "oblique": ["a1"]},
+            {"chains": [["a"], [["1"]]], "oblique": []},
+        ],
+        ids=["chains-string", "oblique-no-to", "oblique-not-object", "nested-label"],
+    )
+    def test_bad_decomposition(self, capsys, tmp_path, decomposition):
+        qfile = tmp_path / "q.json"
+        dfile = tmp_path / "d.json"
+        qfile.write_text(
+            json.dumps({"vertices": ["1", "a"], "arrows": [{"from": "a", "to": "1"}]})
+        )
+        dfile.write_text(json.dumps(decomposition))
+        code, _, err = run(capsys, "mgs", str(qfile), "--decomposition", str(dfile))
+        assert code == 2
+        assert str(dfile) in err
+
+
 class TestSearch:
     def test_count_and_min(self, capsys, tmp_path):
         qfile = tmp_path / "q.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from greenseq.decomposition import (
@@ -11,6 +13,8 @@ from greenseq.decomposition import (
     MultiplePathsBetweenChainsError,
     NonIncreasingPositionsError,
     ObliqueWithinChainError,
+    OrderCycleDetectedError,
+    OrderRelation,
     associated_sequence,
     build_decomposition,
     check_step_shapes,
@@ -161,6 +165,80 @@ class TestOrder:
             rel = dec.order()
             for earlier, later in zip(order, order[1:]):
                 assert not rel.greater(later, earlier)
+
+
+def floyd_warshall_closure(rel) -> dict:
+    """Brute-force reachability over the covers: closure[u][v] is u > v."""
+    closure = {u: {v: False for v in rel.vertices} for u in rel.vertices}
+    for hi, lo in rel.covers:
+        closure[hi][lo] = True
+    for k in rel.vertices:
+        for u in rel.vertices:
+            if closure[u][k]:
+                row_k, row_u = closure[k], closure[u]
+                for v in rel.vertices:
+                    if row_k[v]:
+                        row_u[v] = True
+    return closure
+
+
+class TestOrderAgainstBruteForce:
+    SUITE = [(700 + s, 1 + s % 6, 10 + 5 * s) for s in range(11)]  # up to 60 vertices
+
+    def test_is_greater_matches_floyd_warshall(self):
+        for seed, k, n in self.SUITE:
+            dec = random_decomposition(seed, k, n)
+            rel = dec.order()
+            closure = floyd_warshall_closure(rel)
+            for u in rel.vertices:
+                for v in rel.vertices:
+                    assert is_greater(dec, u, v) == closure[u][v], (seed, u, v)
+
+    def test_descending_order_is_the_smallest_first_extension(self):
+        # reference: repeatedly list the smallest vertex that no unlisted
+        # vertex lies above
+        for seed, k, n in self.SUITE:
+            dec = random_decomposition(seed, k, n)
+            closure = floyd_warshall_closure(dec.order())
+            left = sorted(dec.order().vertices)
+            want = []
+            while left:
+                top = next(v for v in left if not any(closure[u][v] for u in left))
+                want.append(top)
+                left.remove(top)
+            assert descending_order(dec) == want, seed
+
+    def test_every_cover_listed_high_before_low(self):
+        for seed in range(80):
+            dec = random_decomposition(3000 + seed, seed % 8 + 1, 40)
+            place = {cv: i for i, cv in enumerate(descending_order(dec))}
+            assert len(place) == len(dec.vertices())
+            for hi, lo in dec.order().covers:
+                assert place[hi] < place[lo], (seed, hi, lo)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [((1, 1), (1, 1))],
+            [((1, 1), (1, 2)), ((1, 2), (1, 1))],
+            [((1, 1), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (1, 1)), ((2, 1), (2, 2))],
+        ],
+        ids=["self-cover", "two-cycle", "three-cycle"],
+    )
+    def test_cycle_detected(self, covers):
+        vertices = [ChainVertex(c, p) for c in (1, 2) for p in (1, 2)]
+        pairs = [(ChainVertex(*hi), ChainVertex(*lo)) for hi, lo in covers]
+        with pytest.raises(OrderCycleDetectedError):
+            OrderRelation(vertices, pairs)
+
+    def test_construct_at_1600_vertices(self):
+        dec = random_decomposition(1600, 160, 1600)
+        steps = construct_mgs(dec).steps
+        assert len(steps) == expected_mgs_length(dec)
+        seen = Counter(steps)
+        for chain in dec.chains:
+            for position, label in enumerate(chain, start=1):
+                assert seen[label] == len(chain) - position + 1
 
 
 class TestAssociatedSequences:

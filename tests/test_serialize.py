@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from greenseq.decomposition import (
+    DecompositionError,
     build_decomposition,
     decomposition_from_dict,
     decomposition_to_dict,
@@ -66,6 +67,43 @@ def test_sequence_orders():
     assert sequence_from_dict(
         {"steps": ["2", "1"]}, default_order="composition"
     ) == MutationSequence(("1", "2"))
+
+
+def test_numeric_steps_accepted():
+    assert sequence_from_dict({"steps": [1, 2]}) == MutationSequence(("1", "2"))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": "ab"},
+        {"vertices": ["a", None]},
+        {"vertices": ["a", "b"], "frozen": "b"},
+        {"vertices": ["a", "b"], "arrows": {"from": "a", "to": "b"}},
+        ["a", "b"],
+    ],
+)
+def test_malformed_quiver_rejected(data):
+    with pytest.raises(QuiverError):
+        quiver_from_dict(data)
+
+
+def test_malformed_sequence_rejected():
+    for data in ({"steps": "ab"}, {"steps": [["a"]]}, {"steps": [True]}, ["a"]):
+        with pytest.raises(QuiverError):
+            sequence_from_dict(data)
+
+
+def test_malformed_decomposition_rejected():
+    for data in (
+        {"chains": "a1"},
+        {"chains": ["a1"]},
+        {"chains": [["a"], ["b"]], "oblique": [{"from": "a"}]},
+        {"chains": [["a"], ["b"]], "oblique": {"from": "a", "to": "b"}},
+        [["a"]],
+    ):
+        with pytest.raises(DecompositionError):
+            decomposition_from_dict(data)
 
 
 def test_decomposition_round_trip():
