@@ -13,6 +13,7 @@ from .quiver import (
     coframe,
     color,
     colors,
+    final_state,
     frame,
     full_subquiver,
     is_green_sequence,

@@ -40,13 +40,13 @@ from .oracle import (
     oracle_report,
 )
 from .quiver import (
+    STILL_GREEN,
     IceQuiver,
     MutationSequence,
     Quiver,
     QuiverError,
-    apply_sequence,
+    final_state,
     frame,
-    is_green_sequence,
     is_maximal_green_sequence,
 )
 from .serialize import (
@@ -212,11 +212,12 @@ def _cmd_mgs(args) -> int:
 def _cmd_verify(args) -> int:
     q = _load_plain_quiver(args.quiver)
     seq = _load_sequence(args.sequence, args.order)
-    green = is_green_sequence(q, seq)
-    maximal = is_maximal_green_sequence(q, seq) if green else green
+    maximal = is_maximal_green_sequence(q, seq)
+    # one pass: only a green sequence gets as far as the maximality check
+    green = bool(maximal) or maximal.reason == STILL_GREEN
     report = {
         "length": len(seq),
-        "green": bool(green),
+        "green": green,
         "maximal_green": bool(maximal),
     }
     if not maximal:
@@ -281,7 +282,7 @@ def _cmd_export(args) -> int:
             seq = _load_sequence(args.sequence, args.order)
             steps = seq.steps if args.prefix is None else seq.steps[: args.prefix]
             try:
-                state = apply_sequence(state, MutationSequence(steps)).final
+                state = final_state(state, steps)
             except QuiverError as err:
                 raise CliError(f"cannot apply sequence: {err}")
         text = to_dot(state)

@@ -29,11 +29,12 @@ from typing import Iterable, Sequence
 from .quiver import (
     Label,
     MutationSequence,
+    Policy,
     Quiver,
     QuiverError,
-    frame,
+    _framed_rows,
+    _replay,
     make_quiver,
-    mutate,
 )
 from .serialize import _json_labels
 
@@ -647,17 +648,16 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
     if seq is None:
         seq = construct_mgs(dec)
     chain_of = {v: dec.chain_vertex_of(v).chain for v in dec.vertices()}
-    state = frame(underlying_quiver(dec))
+    q = underlying_quiver(dec)
+    frozen, m = _framed_rows(q)
+    n = len(q.vertices)
+    labels = q.vertices + tuple(frozen)
     problems: list[str] = []
-    for idx, v in enumerate(seq):
-        q = state.quiver
-        for w in q.vertices:
-            if w == v:
-                continue
-            entry = q.b(v, w)
-            if entry == 0:
-                continue
-            if w in state.frozen:
+    for idx, v, k in _replay(m, q.vertices, frozen, seq, Policy.UNCHECKED):
+        # the arrows at v in the framed quiver's vertex order
+        for j in sorted(m[k].nonzero()[0].tolist(), key=labels.__getitem__):
+            w, entry = labels[j], m[k, j]
+            if j >= n:
                 if entry < 0:
                     problems.append(f"step {idx}: frozen arrow into {v!r} from {w!r}")
             elif chain_of[w] == chain_of[v]:
@@ -666,7 +666,6 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
             else:
                 if entry < 0:
                     problems.append(f"step {idx}: cross-chain arrow into {v!r} from {w!r}")
-        state = mutate(state, v)
     return problems
 
 

@@ -6,12 +6,11 @@ whenever the reachable state space is finite; explicit budgets guard the
 infinite cases and overrunning them is always an error, never a silent
 truncation, because these answers are used as ground truth elsewhere.
 
-States are deduplicated by the raw bytes of the extended exchange matrix.
-No isomorphism reduction is attempted; at the default cap of eight mutable
-vertices none is needed.  Internally the search works on bare matrices with
-the same mutation formula as :func:`greenseq.quiver.mutate`; mutating a
-green vertex cannot create frozen-frozen entries (a green vertex has no
-incoming frozen arrows), so the frozen-block cleanup is not needed here.
+States are deduplicated by the raw bytes of the extended exchange matrix
+[B | C], one row per mutable vertex.  No isomorphism reduction is attempted;
+at the default cap of eight mutable vertices none is needed.  Each move
+copies the state and runs the shared in-place kernel of
+:mod:`greenseq.quiver` on the copy; the colours are read off the C block.
 """
 
 from __future__ import annotations
@@ -22,7 +21,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .quiver import MAX_SAFE_ENTRY, MutationSequence, Quiver, QuiverError, frame
+from .quiver import (
+    MAX_SAFE_ENTRY,
+    MutationSequence,
+    Quiver,
+    QuiverError,
+    _framed_rows,
+    _green_rows,
+    _mutate_rows,
+    _red_rows,
+)
 
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_MUTABLE_CAP = 8
@@ -51,16 +59,8 @@ class _Search:
             raise BudgetExceededError(
                 f"{len(q.vertices)} mutable vertices exceeds cap {mutable_cap}"
             )
-        framed = frame(q)
-        order = framed.quiver.vertices
-        self.mutable_idx = [
-            framed.quiver.index(v) for v in order if v not in framed.frozen
-        ]
-        self.frozen_idx = [
-            framed.quiver.index(v) for v in order if v in framed.frozen
-        ]
-        self._label_of = {i: order[i] for i in self.mutable_idx}
-        self.start = framed.quiver.matrix.copy()
+        self.start = _framed_rows(q)[1]
+        self._labels = q.vertices
         self.budget = _Budget(node_cap)
 
     def mutate(self, b: np.ndarray, k: int) -> np.ndarray:
@@ -70,28 +70,18 @@ class _Search:
             raise BudgetExceededError(
                 "arrow multiplicities exceed the safe search range"
             )
-        col = b[:, k]
-        row = b[k, :]
-        new = (
-            b
-            + np.outer(np.maximum(col, 0), np.maximum(row, 0))
-            - np.outer(np.maximum(-col, 0), np.maximum(-row, 0))
-        )
-        new[k, :] = -row
-        new[:, k] = -col
+        new = b.copy()
+        _mutate_rows(new, k)
         return new
 
     def green_moves(self, b: np.ndarray) -> list[int]:
-        rows = b[np.ix_(self.mutable_idx, self.frozen_idx)]
-        mask = (rows >= 0).all(axis=1) & (rows > 0).any(axis=1)
-        return [self.mutable_idx[i] for i in np.nonzero(mask)[0]]
+        return np.flatnonzero(_green_rows(b)).tolist()
 
     def all_red(self, b: np.ndarray) -> bool:
-        rows = b[np.ix_(self.mutable_idx, self.frozen_idx)]
-        return bool(((rows <= 0).all(axis=1) & (rows < 0).any(axis=1)).all())
+        return bool(_red_rows(b).all())
 
     def label(self, k: int) -> str:
-        return self._label_of[k]
+        return self._labels[k]
 
 
 def enumerate_green_sequences(

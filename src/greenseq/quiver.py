@@ -7,8 +7,19 @@ arrows v -> u, so between any ordered pair at most one direction carries
 arrows.  An ice quiver additionally distinguishes a frozen vertex subset with
 no arrows between frozen vertices.
 
-All values here are immutable; every operation returns a new value, which
-makes them safe to share across threads or executors.
+The public values are immutable; every public operation returns a new value,
+which makes them safe to share across threads or executors.
+
+Underneath, one private kernel (:func:`_mutate_rows`) mutates an int64 array
+in place.  The array has one row per mutable vertex and one column per
+vertex, mutable columns first in row order: the extended exchange matrix
+[B | C], whose C block holds the arrows to the frozen vertices.  For a framed
+quiver C starts as the identity and its rows are the c-vectors.  The frozen
+rows of the full matrix are minus the transpose of C, and the frozen-frozen
+block is zero, so [B | C] is the whole state.  :func:`mutate`, the
+sequence checks, :func:`final_state`, ``decomposition.check_step_shapes``
+and the search oracle all run this kernel; ``graph_rule`` is the one
+independent implementation, kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ class NotGreenAtStepError(QuiverError):
         self.vertex = vertex
 
 
+_NO_MUTABLE = "ice quiver has no mutable vertices"
+
+
 class Color(enum.Enum):
     GREEN = "green"
     RED = "red"
@@ -116,6 +130,18 @@ class Quiver:
         object.__setattr__(
             self, "_index", {v: i for i, v in enumerate(self.vertices)}
         )
+
+    @classmethod
+    def _trusted(
+        cls, vertices: tuple[Label, ...], matrix: np.ndarray, index: dict[Label, int]
+    ) -> "Quiver":
+        """A quiver from parts known to be valid; takes ``matrix`` over unchecked."""
+        q = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(q, "vertices", vertices)
+        object.__setattr__(q, "matrix", matrix)
+        object.__setattr__(q, "_index", index)
+        return q
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Quiver):
@@ -196,7 +222,15 @@ class IceQuiver:
         if idx and np.any(self.quiver.matrix[np.ix_(idx, idx)] != 0):
             raise QuiverError("arrows between frozen vertices")
         if len(self.frozen) == len(self.quiver.vertices):
-            raise QuiverError("ice quiver has no mutable vertices")
+            raise QuiverError(_NO_MUTABLE)
+
+    @classmethod
+    def _trusted(cls, quiver: Quiver, frozen: frozenset[Label]) -> "IceQuiver":
+        """An ice quiver from parts known to be valid, unchecked."""
+        iq = object.__new__(cls)
+        object.__setattr__(iq, "quiver", quiver)
+        object.__setattr__(iq, "frozen", frozen)
+        return iq
 
     @property
     def mutable(self) -> tuple[Label, ...]:
@@ -214,10 +248,6 @@ class IceQuiver:
         return (
             f"IceQuiver({len(self.mutable)} mutable, {len(self.frozen)} frozen)"
         )
-
-    def state_key(self) -> bytes:
-        """Canonical byte key of the exchange matrix (for search memoization)."""
-        return self.quiver.matrix.tobytes()
 
 
 def make_quiver(
@@ -257,37 +287,110 @@ def make_quiver(
 
 def frame(q: Quiver) -> IceQuiver:
     """Add one frozen copy v' per vertex with an arrow v -> v'."""
-    return _frame_like(q, outward=True)
+    return _assemble(q.vertices, *_framed_rows(q, 1))
 
 
 def coframe(q: Quiver) -> IceQuiver:
     """Add one frozen copy v' per vertex with an arrow v' -> v."""
-    return _frame_like(q, outward=False)
+    return _assemble(q.vertices, *_framed_rows(q, -1))
 
 
-def _frame_like(q: Quiver, outward: bool) -> IceQuiver:
-    frozen = {v: v + "'" for v in q.vertices}
-    for f in frozen.values():
+def _framed_rows(q: Quiver, sign: int = 1) -> tuple[list[Label], np.ndarray]:
+    """The frozen labels v' in vertex order and [B | sign * I] of the framing.
+
+    Raises as :func:`frame` does when some v' is already a vertex label or
+    the quiver has no vertices.
+    """
+    frozen = [v + "'" for v in q.vertices]
+    for f in frozen:
         if q.has_vertex(f):
             raise DuplicateVertexError(f"frozen label {f!r} collides with a vertex")
-    labels = list(q.vertices) + list(frozen.values())
-    order = tuple(sorted(labels))
+    if not frozen:
+        raise QuiverError(_NO_MUTABLE)
+    n = len(frozen)
+    m = np.zeros((n, 2 * n), dtype=np.int64)
+    m[:, :n] = q.matrix
+    np.fill_diagonal(m[:, n:], sign)
+    return frozen, m
+
+
+def _rows_of(iq: IceQuiver) -> tuple[tuple[Label, ...], list[Label], np.ndarray]:
+    """The mutable labels, the frozen labels and a writable [B | C] of ``iq``."""
+    q = iq.quiver
+    mutable, frozen = iq.mutable, sorted(iq.frozen)
+    rows = [q.index(v) for v in mutable]
+    cols = rows + [q.index(f) for f in frozen]
+    return mutable, frozen, q.matrix[np.ix_(rows, cols)]
+
+
+def _assemble(
+    mutable: Sequence[Label], frozen: Sequence[Label], m: np.ndarray
+) -> IceQuiver:
+    """The ice quiver whose [B | C] is ``m``, with rows in ``mutable`` order
+    and C columns in ``frozen`` order.
+
+    Frozen rows are minus the transpose of C; the frozen-frozen block is zero.
+    """
+    order = tuple(sorted((*mutable, *frozen)))
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    b = np.zeros((n, n), dtype=np.int64)
-    for i, u in enumerate(q.vertices):
-        for j, v in enumerate(q.vertices):
-            b[index[u], index[v]] = q.matrix[i, j]
-    for v, f in frozen.items():
-        sign = 1 if outward else -1
-        b[index[v], index[f]] = sign
-        b[index[f], index[v]] = -sign
-    return IceQuiver(Quiver(order, b), frozenset(frozen.values()))
+    rows = [index[v] for v in mutable]
+    cols = [index[f] for f in frozen]
+    b = np.zeros((len(order), len(order)), dtype=np.int64)
+    b[np.ix_(rows, rows + cols)] = m
+    b[np.ix_(cols, rows)] = -m[:, len(rows) :].T
+    return IceQuiver._trusted(Quiver._trusted(order, b, index), frozenset(frozen))
 
 
 # multiplicities can grow doubly exponentially under mutation; refusing
 # beyond this bound keeps every int64 intermediate product exact
 MAX_SAFE_ENTRY = 2**31
+_UNSAFE = "arrow multiplicities exceed the safe mutation range"
+
+
+def _mutate_rows(m: np.ndarray, k: int) -> bool:
+    """Mutate [B | C] in place at the vertex of row ``k``.
+
+    Row k and column k change sign.  Of the other rows only those of k's
+    neighbours change: row i gains b_ik * max(row_k, 0) when b_ik > 0 and
+    loses b_ik * min(row_k, 0) when b_ik < 0.  That is the rule
+    b_ij + sign(b_ik) * max(b_ik * b_kj, 0) on the mutable rows, in
+    O(deg(k) * columns) work.  Returns True when a changed entry has reached
+    MAX_SAFE_ENTRY, so that mutating the result again could overflow.
+    """
+    row, col = m[k], m[:, k]
+    pos, neg = np.maximum(row, 0), np.minimum(row, 0)
+    touched = col.nonzero()[0]
+    for i, b_ik in zip(touched.tolist(), col[touched].tolist()):
+        if b_ik > 0:
+            m[i] += b_ik * pos
+        else:
+            m[i] -= b_ik * neg
+    # not np.negative(col, out=col): NumPy 2.4 reads a strided int64 view
+    # as if it were contiguous there
+    col *= -1
+    row *= -1
+    return bool(touched.size) and bool(np.abs(m[touched]).max() >= MAX_SAFE_ENTRY)
+
+
+def _row_color(c: np.ndarray) -> Color | None:
+    """Colour of a C-row: GREEN when no entry is negative and one is positive,
+    RED for the mirror case, None when the row is zero or of mixed sign."""
+    pos, neg = c.max(initial=0) > 0, c.min(initial=0) < 0
+    if pos == neg:
+        return None
+    return Color.GREEN if pos else Color.RED
+
+
+def _green_rows(m: np.ndarray) -> np.ndarray:
+    """Mask of the green rows of [B | C]."""
+    c = m[:, len(m) :]
+    return (c >= 0).all(axis=1) & (c > 0).any(axis=1)
+
+
+def _red_rows(m: np.ndarray) -> np.ndarray:
+    """Mask of the red rows of [B | C]."""
+    c = m[:, len(m) :]
+    return (c <= 0).all(axis=1) & (c < 0).any(axis=1)
 
 
 def mutate(iq: IceQuiver, k: Label) -> IceQuiver:
@@ -295,27 +398,17 @@ def mutate(iq: IceQuiver, k: Label) -> IceQuiver:
 
     b'[u][v] = -b[u][v] when u = k or v = k, and otherwise
     b[u][v] + sign(b[u][k]) * max(b[u][k] * b[k][v], 0); entries between two
-    frozen vertices are forced back to zero.  Mutation is an involution.
+    frozen vertices stay zero.  Mutation is an involution.  The kernel runs
+    on [B | C], and the full matrix is rebuilt from it.
     """
-    q = iq.quiver
-    ki = q.index(k)
+    iq.quiver.index(k)
     if k in iq.frozen:
         raise FrozenVertexMutationError(f"cannot mutate frozen vertex {k!r}")
-    b = q.matrix
-    if np.abs(b).max(initial=0) >= MAX_SAFE_ENTRY:
-        raise QuiverError("arrow multiplicities exceed the safe mutation range")
-    col = b[:, ki]
-    row = b[ki, :]
-    delta = np.outer(np.maximum(col, 0), np.maximum(row, 0)) - np.outer(
-        np.maximum(-col, 0), np.maximum(-row, 0)
-    )
-    new = b + delta
-    new[ki, :] = -b[ki, :]
-    new[:, ki] = -b[:, ki]
-    if iq.frozen:
-        fidx = [q.index(f) for f in sorted(iq.frozen)]
-        new[np.ix_(fidx, fidx)] = 0
-    return IceQuiver(Quiver(q.vertices, new), iq.frozen)
+    mutable, frozen, m = _rows_of(iq)
+    if np.abs(m).max(initial=0) >= MAX_SAFE_ENTRY:
+        raise QuiverError(_UNSAFE)
+    _mutate_rows(m, mutable.index(k))
+    return _assemble(mutable, frozen, m)
 
 
 def color(iq: IceQuiver, v: Label) -> Color:
@@ -329,15 +422,13 @@ def color(iq: IceQuiver, v: Label) -> Color:
     if v in iq.frozen:
         raise QuiverError(f"color is defined for mutable vertices only: {v!r}")
     q = iq.quiver
-    i = q.index(v)
-    entries = [int(q.matrix[i, q.index(f)]) for f in iq.frozen]
-    if not entries or all(e == 0 for e in entries):
+    row = q.matrix[q.index(v), [q.index(f) for f in iq.frozen]]
+    c = _row_color(row)
+    if c is None and not row.any():
         raise ZeroRowError(f"vertex {v!r} has no arrows to frozen vertices")
-    has_pos = any(e > 0 for e in entries)
-    has_neg = any(e < 0 for e in entries)
-    if has_pos and has_neg:
+    if c is None:
         raise NotSignCoherentError(f"vertex {v!r} has mixed frozen arrow signs")
-    return Color.GREEN if has_pos else Color.RED
+    return c
 
 
 def colors(iq: IceQuiver) -> dict[Label, Color]:
@@ -436,6 +527,46 @@ def apply_sequence(
     return Trace(iq, tuple(records))
 
 
+def _replay(
+    m: np.ndarray,
+    mutable: Sequence[Label],
+    frozen: Iterable[Label],
+    seq: MutationSequence,
+    policy: Policy,
+) -> Iterator[tuple[int, Label, int]]:
+    """Run ``seq`` through the kernel on [B | C] in place, one step at a time.
+
+    ``mutable`` labels the rows of ``m`` and ``frozen`` is the frozen label
+    set.  Yields (step index, vertex, row) before each mutation, so a caller
+    can read the state the step starts from.  Raises what
+    :func:`apply_sequence` raises, at the same step; no state is kept.
+    """
+    rows = {v: i for i, v in enumerate(mutable)}
+    frozen = frozenset(frozen)
+    n = len(m)
+    unsafe = bool(np.abs(m).max(initial=0) >= MAX_SAFE_ENTRY)
+    for idx, v in enumerate(seq):
+        if v in frozen:
+            raise FrozenVertexMutationError(f"step {idx} mutates frozen vertex {v!r}")
+        k = rows.get(v)
+        if k is None:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
+        if policy is Policy.REQUIRE_GREEN and _row_color(m[k, n:]) is not Color.GREEN:
+            raise NotGreenAtStepError(idx, v)
+        yield idx, v, k
+        if unsafe:
+            raise QuiverError(_UNSAFE)
+        unsafe = _mutate_rows(m, k)
+
+
+def final_state(iq: IceQuiver, seq: Steps) -> IceQuiver:
+    """``apply_sequence(iq, seq).final``, keeping no intermediate state."""
+    mutable, frozen, m = _rows_of(iq)
+    for _ in _replay(m, mutable, frozen, as_sequence(seq), Policy.UNCHECKED):
+        pass
+    return _assemble(mutable, frozen, m)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Boolean verdict with the first violation, if any."""
@@ -449,36 +580,43 @@ class Verdict:
         return self.ok
 
 
-def is_green_sequence(q: Quiver, seq: Steps) -> Verdict:
-    """True iff the sequence mutates only green vertices, starting framed."""
+# the one reason a green sequence fails to be maximal
+STILL_GREEN = "vertex still green"
+
+
+def _green_run(q: Quiver, seq: Steps) -> tuple[Verdict, np.ndarray | None]:
+    """Stream ``seq`` from the framed quiver, checking that every step is green.
+
+    Returns the verdict and, when it holds, the final [B | C].
+    """
     try:
         sequence = as_sequence(seq)
     except ConsecutiveRepeatError as err:
-        return Verdict(False, f"malformed sequence: {err}")
+        return Verdict(False, f"malformed sequence: {err}"), None
     try:
-        apply_sequence(frame(q), sequence, Policy.REQUIRE_GREEN)
+        frozen, m = _framed_rows(q)
+        for _ in _replay(m, q.vertices, frozen, sequence, Policy.REQUIRE_GREEN):
+            pass
     except NotGreenAtStepError as err:
-        return Verdict(False, "vertex not green", err.index, err.vertex)
+        return Verdict(False, "vertex not green", err.index, err.vertex), None
     except QuiverError as err:
-        return Verdict(False, str(err))
-    return Verdict(True)
+        return Verdict(False, str(err)), None
+    return Verdict(True), m
+
+
+def is_green_sequence(q: Quiver, seq: Steps) -> Verdict:
+    """True iff the sequence mutates only green vertices, starting framed."""
+    return _green_run(q, seq)[0]
 
 
 def is_maximal_green_sequence(q: Quiver, seq: Steps) -> Verdict:
     """True iff green sequence and every mutable vertex is red afterwards."""
-    try:
-        sequence = as_sequence(seq)
-    except ConsecutiveRepeatError as err:
-        return Verdict(False, f"malformed sequence: {err}")
-    try:
-        trace = apply_sequence(frame(q), sequence, Policy.REQUIRE_GREEN)
-    except NotGreenAtStepError as err:
-        return Verdict(False, "vertex not green", err.index, err.vertex)
-    except QuiverError as err:
-        return Verdict(False, str(err))
-    for v, c in trace.final_colors().items():
-        if c is not Color.RED:
-            return Verdict(False, "vertex still green", None, v)
+    verdict, m = _green_run(q, seq)
+    if not verdict:
+        return verdict
+    red = _red_rows(m)
+    if not red.all():
+        return Verdict(False, STILL_GREEN, None, q.vertices[int(np.argmin(red))])
     return Verdict(True)
 
 

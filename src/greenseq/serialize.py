@@ -11,8 +11,8 @@ File formats:
 Labels are strings on output; numeric labels on input are accepted and
 canonicalized to strings.  Input of any other shape (a string where a list
 is due, an arrow without both endpoints, a multiplicity that is not a
-positive integer) raises QuiverError.  DOT output is sorted so exports are
-stable.
+positive integer, a sequence without ``steps``) raises QuiverError.  DOT
+output is sorted so exports are stable.
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ def sequence_from_dict(
 ) -> MutationSequence:
     if not isinstance(data, dict):
         raise QuiverError("sequence JSON must be an object")
-    steps = _json_labels(data.get("steps", []), "sequence 'steps'")
+    if "steps" not in data:
+        raise QuiverError("sequence JSON must have a 'steps' field")
+    steps = _json_labels(data["steps"], "sequence 'steps'")
     order = data.get("order", default_order)
     if order == "execution":
         return MutationSequence.from_execution(steps)

@@ -262,6 +262,18 @@ class TestMalformedInput:
         assert code == 2
         assert "steps" in err
 
+    def test_missing_steps_is_invalid(self, capsys, tmp_path):
+        qfile = tmp_path / "q.json"
+        sfile = tmp_path / "s.json"
+        qfile.write_text(
+            json.dumps({"vertices": ["a", "b"], "arrows": [{"from": "b", "to": "a"}]})
+        )
+        sfile.write_text(json.dumps({"step": ["a", "b", "a"]}))
+        code, out, err = run(capsys, "verify", str(qfile), str(sfile))
+        assert code == 2
+        assert out == ""
+        assert "steps" in err
+
     @pytest.mark.parametrize(
         "decomposition",
         [

@@ -94,6 +94,11 @@ def test_malformed_sequence_rejected():
             sequence_from_dict(data)
 
 
+def test_missing_steps_rejected():
+    with pytest.raises(QuiverError, match="steps"):
+        sequence_from_dict({"step": ["a", "b", "a"]})
+
+
 def test_malformed_decomposition_rejected():
     for data in (
         {"chains": "a1"},
