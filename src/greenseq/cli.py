@@ -14,6 +14,7 @@ environment variable ``GREENSEQ_NODE_CAP`` overrides the oracle node budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -294,7 +295,9 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="greenseq",
         description="Quiver mutation, chain decompositions, and green sequences.",

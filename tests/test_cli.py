@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from greenseq.cli import main
+from greenseq.cli import build_parser, main
 from greenseq.fixtures import FIG8_TWELVE_COMPOSITION, fig8_quiver
+from greenseq.quiver import make_quiver
 from greenseq.serialize import quiver_from_dict, quiver_to_dict
 
 
@@ -333,6 +334,33 @@ class TestSearch:
         run(capsys, "generate", "--fixture", "fig8", "--quiver-out", str(qfile))
         monkeypatch.setenv("GREENSEQ_NODE_CAP", "5")
         assert run(capsys, "search", str(qfile), "--mode", "min")[0] == 3
+
+    # quivers with an infinite green path: only the node budget ends the search
+    INFINITE = {
+        "kronecker": make_quiver(["1", "2"], [("1", "2", 2)]),
+        "tournament5": make_quiver(
+            [str(i) for i in range(5)],
+            [(str(j), str(i)) for i in range(5) for j in range(i + 1, 5)],
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["count", "enumerate"])
+    @pytest.mark.parametrize("name", sorted(INFINITE))
+    def test_infinite_green_path_exits_3(self, capsys, tmp_path, name, mode):
+        qfile = write_quiver(tmp_path / "q.json", self.INFINITE[name])
+        code, out, _ = run(
+            capsys, "search", qfile, "--mode", mode, "--node-cap", "2000"
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "min_length": None,
+            "count": None,
+            "budget_exhausted": True,
+        }
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestExport:

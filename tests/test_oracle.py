@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_acyclic_quiver
 from greenseq.decomposition import (
@@ -21,11 +24,36 @@ from greenseq.oracle import (
     min_mgs_length,
     oracle_report,
 )
-from greenseq.quiver import is_maximal_green_sequence, make_quiver
+from greenseq.quiver import Quiver, is_maximal_green_sequence, make_quiver
 
 
 def triangle():
     return make_quiver([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+
+
+KRONECKER = make_quiver(["1", "2"], [("1", "2", 2)])
+
+
+def enumerated(q, max_len, node_cap):
+    """(count, min length, maximal sequences) by listing every green path."""
+    found = [
+        list(seq.steps)
+        for seq, maximal in enumerate_green_sequences(q, max_len, node_cap)
+        if maximal
+    ]
+    return len(found), min(map(len, found), default=None), found
+
+
+@st.composite
+def small_quivers(draw):
+    """Quivers on 1-5 vertices with arrow multiplicities up to 2."""
+    n = draw(st.integers(1, 5))
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    return Quiver(tuple(f"v{i}" for i in range(n)), b)
 
 
 class TestEnumeration:
@@ -52,6 +80,12 @@ class TestEnumeration:
         assert out == [(out[0][0], False)]
         assert len(out[0][0]) == 0
 
+    def test_infinite_green_path_ends_at_the_budget(self):
+        # the green path runs deeper than the interpreter's recursion limit
+        with pytest.raises(BudgetExceededError):
+            for _ in enumerate_green_sequences(KRONECKER, node_cap=2000):
+                pass
+
     def test_emitted_maximal_flags_agree_with_verifier(self):
         q = linear_a(3)[0]
         for seq, maximal in enumerate_green_sequences(q):
@@ -70,6 +104,44 @@ class TestCounts:
         for n in range(1, 5):
             q, _ = linear_a(n)
             assert count_mgs(q, max_len=n * (n + 1) // 2) >= 2 ** (n - 1)
+
+
+    def test_a6_under_the_default_budget(self):
+        assert count_mgs(linear_a(6)[0]) == 340549
+
+    def test_infinite_green_path_ends_at_the_budget(self):
+        with pytest.raises(BudgetExceededError):
+            count_mgs(KRONECKER, node_cap=2000)
+
+
+class TestCountAgainstEnumeration:
+    """The DP against a count over every green path, made here.
+
+    The DP mutates once per edge of the green state DAG, enumeration once
+    per edge of the green tree, so under one budget the DP answers whenever
+    enumeration does.  When only the DP answers, a larger budget checks it.
+    """
+
+    CAP = 1000
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(q=small_quivers(), max_len=st.none() | st.integers(0, 8))
+    def test_dp_matches_enumeration(self, q, max_len):
+        try:
+            want = enumerated(q, max_len, self.CAP)
+        except BudgetExceededError:
+            want = None
+        report = oracle_report(q, max_len, self.CAP)
+        if report["budget_exhausted"]:
+            assert want is None
+            with pytest.raises(BudgetExceededError):
+                count_mgs(q, max_len, self.CAP)
+            return
+        count, best, sequences = want or enumerated(q, max_len, 20 * self.CAP)
+        assert report == {"min_length": best, "count": count, "budget_exhausted": False}
+        assert count_mgs(q, max_len, self.CAP) == count
+        listed = oracle_report(q, max_len, 20 * self.CAP, include_sequences=True)
+        assert listed == dict(report, sequences=sequences)
 
 
 class TestMinLength:
