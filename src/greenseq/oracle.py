@@ -11,9 +11,9 @@ Counts and minimal lengths come from one dynamic programme over that graph:
 the number of maximal green sequences from a state is the sum over its green
 children, so each state is solved once.  Path enumeration, which costs one
 mutation per green sequence, is kept for listing the sequences themselves
-and as the independent cross-check of the counts in the tests.  Both walk on an
-explicit stack, so an infinite green path ends at the budget, never in
-``RecursionError``.  The node budget counts mutations in every engine.
+and as the independent cross-check of the counts in the tests.  Both walk
+on an explicit stack, so an infinite green path ends at the budget, never
+in ``RecursionError``.  The node budget counts mutations in every engine.
 
 States are deduplicated by the raw bytes of the extended exchange matrix
 [B | C], one row per mutable vertex.  No isomorphism reduction is attempted;
@@ -104,7 +104,7 @@ def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], boo
     all red.  The path is one list, changed by the next step, so a caller
     copies what it keeps.  Each frame makes its next child only when the
     previous child's subtree is exhausted, so mutations happen, and the
-    budget is spent, in the same depth-first pre-order.
+    budget is spent, in the order of the yields.
     """
     path: list[int] = []
 
