@@ -1,151 +1,128 @@
-"""Simple-cycle enumeration and decomposition of oriented-cycle-glued quivers.
+"""Biconnected blocks and decomposition of oriented-cycle-glued quivers.
 
-Cycles are enumerated on the underlying undirected graph and tagged oriented
-when the arrows run coherently around the cycle.  A connected quiver in which
-every arrow lies on an oriented cycle and every simple cycle is oriented
-decomposes into chains by peeling cycles: the first cycle contributes a path
-chain plus a singleton, every later cycle shares exactly one already-placed
+A block is a maximal biconnected piece of the underlying undirected graph:
+either a single arrow (a bridge) or three or more vertices any two of which
+lie on a common simple cycle.  Every simple cycle lies inside one block, and
+a block is an induced subgraph, so the family recognizers read their
+conditions off the blocks in linear time instead of listing cycles.
+
+Every simple cycle is oriented and every arrow lies on one exactly when
+every block is a single oriented cycle: two cycles sharing an arrow span a
+theta subgraph, which always contains a non-oriented cycle, and a bridge
+lies on no cycle.  Such a connected quiver decomposes into chains by
+peeling the block cycles: the first contributes a path chain plus a
+singleton, every later one meets the placed vertices in exactly one cut
 vertex and contributes its remaining path as a fresh chain.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from typing import Iterable
 
-import networkx as nx
+import numpy as np
 
 from .decomposition import ChainDecomposition, decompose_with_chains
-from .quiver import Label, Quiver, QuiverError
+from .quiver import Label, Quiver
 
 
-class CycleBudgetExceededError(QuiverError):
-    pass
+def blocks(q: Quiver) -> list[tuple[Label, ...]]:
+    """Biconnected blocks of the underlying graph, sorted by (size, vertices).
 
-
-@dataclass(frozen=True)
-class Cycle:
-    """A simple cycle of the underlying graph.
-
-    ``vertices`` lists the cycle in arrow direction when oriented (each
-    vertex has an arrow to its successor, cyclically), otherwise in a
-    canonical undirected order.  Rotated so the smallest label comes first.
+    Each block is a sorted vertex tuple; an isolated vertex is in no block.
+    One iterative depth-first search (Hopcroft–Tarjan) keeps each vertex's
+    discovery time and low point.  When a child's subtree reaches no higher
+    than its parent, the vertices stacked since the child and the parent
+    form a block.
     """
+    adjacency = [np.flatnonzero(row).tolist() for row in q.matrix]
+    disc = [-1] * len(adjacency)
+    low = [0] * len(adjacency)
+    clock = 0
+    found = []
+    for root in range(len(adjacency)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [root]
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append(w)
+                    work.append((w, iter(adjacency[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                work.pop()
+                if not work:
+                    continue
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    block = [parent]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    found.append(tuple(q.vertices[i] for i in sorted(block)))
+    return sorted(found, key=lambda b: (len(b), b))
 
-    vertices: tuple[Label, ...]
-    oriented: bool
 
-    def __len__(self) -> int:
-        return len(self.vertices)
+def oriented_cycle(q: Quiver, vertices: Iterable[Label]) -> tuple[Label, ...] | None:
+    """The induced subquiver on ``vertices`` as one oriented cycle, else None.
 
-    def arrows(self) -> list[tuple[Label, Label]]:
-        if not self.oriented:
-            raise QuiverError("arrow list of a non-oriented cycle")
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
-def _canonical(vertices: list[Label], oriented_forward: bool, oriented_backward: bool) -> Cycle:
-    if oriented_backward and not oriented_forward:
-        vertices = [vertices[0]] + list(reversed(vertices[1:]))
-        oriented_forward = True
-    start = vertices.index(min(vertices))
-    rotated = tuple(vertices[start:] + vertices[:start])
-    if not oriented_forward:
-        # undirected canonical direction: smaller second element
-        if len(rotated) > 2 and rotated[-1] < rotated[1]:
-            rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
-    return Cycle(rotated, oriented_forward)
-
-
-def enumerate_simple_cycles(q: Quiver, max_cycles: int = 10000) -> list[Cycle]:
-    """All simple cycles of the underlying graph, each tagged oriented or not.
-
-    Raises CycleBudgetExceededError beyond ``max_cycles`` candidates; the
-    result is sorted by (length, vertices) for determinism.
+    The cycle is listed in arrow direction from its smallest label.  None
+    when there are fewer than three vertices, a chord, a reversed arrow or
+    more than one cycle.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(q.vertices)
-    graph.add_edges_from((u, v) for u, v, _ in q.arrows())
-    cycles = []
-    for raw in itertools.islice(nx.simple_cycles(graph), max_cycles + 1):
-        if len(cycles) >= max_cycles:
-            raise CycleBudgetExceededError(f"more than {max_cycles} simple cycles")
-        forward = all(
-            q.b(raw[i], raw[(i + 1) % len(raw)]) > 0 for i in range(len(raw))
-        )
-        backward = all(
-            q.b(raw[(i + 1) % len(raw)], raw[i]) > 0 for i in range(len(raw))
-        )
-        cycles.append(_canonical(list(raw), forward, backward))
-    return sorted(cycles, key=lambda c: (len(c), c.vertices))
+    inside = set(vertices)
+    if len(inside) < 3:
+        return None
+    succ = {}
+    for v in inside:
+        outs = [w for w in q.out_neighbors(v) if w in inside]
+        ins = [w for w in q.in_neighbors(v) if w in inside]
+        if len(outs) != 1 or len(ins) != 1:
+            return None
+        succ[v] = outs[0]
+    cycle = [min(inside)]
+    while len(cycle) < len(inside):
+        cycle.append(succ[cycle[-1]])
+        if cycle[-1] == cycle[0]:
+            return None
+    return tuple(cycle)
 
 
-def is_irreducible(q: Quiver, max_cycles: int = 10000) -> bool:
-    """True when every arrow lies on some oriented cycle."""
-    on_cycle: set[tuple[Label, Label]] = set()
-    for cycle in enumerate_simple_cycles(q, max_cycles):
-        if cycle.oriented:
-            on_cycle.update(cycle.arrows())
-    return all((u, v) in on_cycle for u, v, _ in q.arrows())
-
-
-def all_cycles_oriented_decompose(
-    q: Quiver, max_cycles: int = 10000
-) -> ChainDecomposition | None:
+def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:
     """Chain decomposition by cycle peeling, or None when preconditions fail.
 
     Preconditions: connected, every simple cycle oriented, every arrow on
-    some cycle.  Covers trees of oriented cycles and, more generally, any
-    number of oriented cycles meeting pairwise in at most one vertex.
+    some cycle, that is, every block an oriented cycle.  Covers trees of
+    oriented cycles and, more generally, any number of oriented cycles
+    meeting pairwise in at most one vertex.
     """
     if not q.is_connected() or len(q.vertices) == 0:
         return None
     if any(m != 1 for _, _, m in q.arrows()):
         return None
-    cycles = enumerate_simple_cycles(q, max_cycles)
-    if any(not c.oriented for c in cycles):
-        return None
-    covered = {arrow for c in cycles for arrow in c.arrows()}
-    if any((u, v) not in covered for u, v, _ in q.arrows()):
+    cycles = [oriented_cycle(q, block) for block in blocks(q)]
+    if None in cycles:
         return None
     if not cycles:
         # no arrows at all: a single vertex is the only connected case
         return decompose_with_chains(q, [[v] for v in q.vertices])
 
-    chains: list[list[Label]] = []
-    placed: set[Label] = set()
-
-    def path_chain(path: list[Label]) -> None:
-        # a directed path u1 -> ... -> um becomes a chain with um at position 1
-        chains.append(list(reversed(path)))
-        placed.update(path)
-
-    remaining = list(cycles)
-    first = remaining.pop(0)
-    solo = min(first.vertices)
-    idx = first.vertices.index(solo)
-    around = first.vertices[idx + 1 :] + first.vertices[:idx]
-    path_chain(list(around))
-    chains.append([solo])
-    placed.add(solo)
-
+    # a directed path u1 -> ... -> um becomes a chain with um at position 1
+    first, *remaining = sorted(cycles, key=lambda c: (len(c), c))
+    chains = [list(reversed(first[1:])), [first[0]]]
+    placed = set(first)
     while remaining:
-        pick = next(
-            (c for c in remaining if placed.intersection(c.vertices)), None
-        )
-        if pick is None:
-            return None
+        pick = next(c for c in remaining if placed.intersection(c))
         remaining.remove(pick)
-        shared = placed.intersection(pick.vertices)
-        if len(shared) != 1:
-            return None
-        (v,) = shared
-        idx = pick.vertices.index(v)
-        around = pick.vertices[idx + 1 :] + pick.vertices[:idx]
-        path_chain(list(around))
-
-    stray = [v for v in q.vertices if v not in placed]
-    if stray:
-        return None
+        (v,) = placed.intersection(pick)
+        idx = pick.index(v)
+        chains.append(list(reversed(pick[idx + 1 :] + pick[:idx])))
+        placed.update(pick)
     return decompose_with_chains(q, chains)

@@ -36,7 +36,7 @@ from .quiver import (
     _replay,
     make_quiver,
 )
-from .serialize import _json_labels
+from .serialize import _json_labels, _known_keys
 
 
 class DecompositionError(QuiverError):
@@ -683,6 +683,7 @@ def decomposition_from_dict(data: dict) -> ChainDecomposition:
     """Parse the JSON form; a malformed field raises DecompositionError."""
     if not isinstance(data, dict):
         raise DecompositionError("decomposition JSON must be an object")
+    _known_keys(data, ("chains", "oblique"), error=DecompositionError)
     chains = data.get("chains", [])
     if not isinstance(chains, list):
         raise DecompositionError(f"'chains' must be a list of label lists, got {type(chains).__name__}")
@@ -691,6 +692,8 @@ def decomposition_from_dict(data: dict) -> ChainDecomposition:
         isinstance(o, dict) and "from" in o and "to" in o for o in obliques
     ):
         raise DecompositionError("'oblique' must be a list of objects with 'from' and 'to'")
+    for i, o in enumerate(obliques):
+        _known_keys(o, ("from", "to"), f"oblique[{i}].", DecompositionError)
     return build_decomposition(
         [_json_labels(c, "a chain", DecompositionError) for c in chains],
         [_json_labels([o["from"], o["to"]], "an oblique", DecompositionError) for o in obliques],

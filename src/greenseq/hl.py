@@ -98,24 +98,6 @@ def hl_ball(cartan: CartanData, seed: HLVertex, radius: int) -> list[HLVertex]:
     return sorted(seen)
 
 
-def hl_component(cartan: CartanData, window: Iterable[HLVertex], seed: HLVertex) -> Quiver:
-    """Restrict a window to the connected component containing ``seed``."""
-    q = hl_quiver(cartan, window)
-    start = hl_label(seed)
-    if not q.has_vertex(start):
-        raise InconsistentLabelsError(f"seed {seed} not in window")
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in q.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    from .quiver import full_subquiver
-
-    return full_subquiver(q, seen)
-
-
 def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
     """Chain decomposition of a connected window with (i,r) vertex labels.
 

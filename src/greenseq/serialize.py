@@ -1,18 +1,20 @@
 """JSON and DOT serialization for quivers, sequences, and decompositions.
 
-File formats:
+File formats, with every accepted key:
 
 * quiver: ``{"vertices": [...], "arrows": [{"from":, "to":, "mult":}],
-  "frozen": [...]}`` with ``frozen`` optional (default empty),
-* sequence: ``{"steps": [...], "order": "execution" | "composition"}``,
+  "frozen": [...]}`` with ``arrows``, ``mult`` and ``frozen`` optional,
+* sequence: ``{"steps": [...], "order": "execution" | "composition"}``
+  with ``order`` optional,
 * decomposition: ``{"chains": [[labels, position 1 first], ...],
   "oblique": [{"from":, "to":}, ...]}``.
 
 Labels are strings on output; numeric labels on input are accepted and
 canonicalized to strings.  Input of any other shape (a string where a list
 is due, an arrow without both endpoints, a multiplicity that is not a
-positive integer, a sequence without ``steps``) raises QuiverError.  DOT
-output is sorted so exports are stable.
+positive integer, a sequence without ``steps``, a key not listed above)
+raises QuiverError, or DecompositionError for a decomposition.  DOT output
+is sorted so exports are stable.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ def _json_labels(
     return [str(v) for v in values]
 
 
+def _known_keys(
+    data: dict,
+    keys: tuple[str, ...],
+    prefix: str = "",
+    error: type[QuiverError] = QuiverError,
+) -> None:
+    """Raise ``error`` naming the first key of ``data`` outside ``keys``.
+
+    ``prefix`` locates the object, such as ``arrows[0].``.
+    """
+    for key in data:
+        if key not in keys:
+            raise error(f"unknown key {prefix}{key}; expected one of {', '.join(keys)}")
+
+
 def quiver_to_dict(q: Union[Quiver, IceQuiver]) -> dict[str, Any]:
     frozen: list[str] = []
     if isinstance(q, IceQuiver):
@@ -65,13 +82,15 @@ def quiver_from_dict(data: dict[str, Any]) -> Union[Quiver, IceQuiver]:
     """Parse a quiver dict; returns an IceQuiver when ``frozen`` is non-empty."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise QuiverError("quiver JSON must be an object with a 'vertices' field")
+    _known_keys(data, ("vertices", "arrows", "frozen"))
     arrows = data.get("arrows", [])
     if not isinstance(arrows, list):
         raise QuiverError("quiver 'arrows' must be a list")
     parsed = []
-    for a in arrows:
+    for i, a in enumerate(arrows):
         if not isinstance(a, dict) or "from" not in a or "to" not in a:
             raise QuiverError(f"arrow needs 'from' and 'to': {a!r}")
+        _known_keys(a, ("from", "to", "mult"), f"arrows[{i}].")
         mult = a.get("mult", 1)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise QuiverError(f"arrow 'mult' must be a positive integer: {a!r}")
@@ -98,6 +117,7 @@ def sequence_from_dict(
         raise QuiverError("sequence JSON must be an object")
     if "steps" not in data:
         raise QuiverError("sequence JSON must have a 'steps' field")
+    _known_keys(data, ("steps", "order"))
     steps = _json_labels(data["steps"], "sequence 'steps'")
     order = data.get("order", default_order)
     if order == "execution":

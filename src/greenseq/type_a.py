@@ -3,9 +3,12 @@
 Such quivers are characterized locally: every cycle is an oriented triangle,
 no vertex has more than four neighbors, a degree-four vertex sits in two
 arrow-disjoint triangles, and a degree-three vertex has exactly one triangle
-plus one arrow lying on no triangle.  Structurally they are oriented
-triangles glued at shared vertices (each vertex in at most two triangles)
-with tree-like appendages.
+plus one arrow lying on no triangle.  Every cycle is an oriented triangle
+exactly when every biconnected block (see ``cycles.blocks``) is a single
+arrow or an oriented triangle, so the recognizer reads the triangles off
+the blocks.  Structurally such quivers are oriented triangles glued at
+shared vertices (each vertex in at most two triangles) with tree-like
+appendages.
 
 The decomposer peels each triangle into a two-vertex chain plus one vertex
 kept elsewhere and makes every non-triangle vertex a singleton chain, which
@@ -18,9 +21,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cycles import enumerate_simple_cycles
+from .cycles import blocks, oriented_cycle
 from .decomposition import ChainDecomposition, decompose_with_chains
 from .quiver import Label, Quiver, QuiverError, Verdict
+
+Triangle = tuple[Label, Label, Label]
 
 
 class NotTypeAError(QuiverError):
@@ -35,64 +40,68 @@ class PinningInfeasibleError(QuiverError):
     pass
 
 
-def triangles(q: Quiver, max_cycles: int = 10000) -> list[tuple[Label, Label, Label]]:
-    """Oriented triangles, each rotated to start at its smallest vertex."""
-    return [
-        c.vertices
-        for c in enumerate_simple_cycles(q, max_cycles)
-        if len(c) == 3 and c.oriented
-    ]
+def triangles(q: Quiver) -> list[Triangle]:
+    """Oriented triangles of a type-A quiver, each from its smallest vertex, sorted.
 
-
-def is_type_a(q: Quiver, max_cycles: int = 10000) -> Verdict:
-    """Check the four local characterization conditions."""
+    They are its triangle blocks and all of its cycles.  Raises NotTypeAError
+    naming the failed condition when ``q`` is not mutation-equivalent to type A.
+    """
     if not q.is_connected():
-        return Verdict(False, "not connected")
+        raise NotTypeAError("not connected")
     if any(m != 1 for _, _, m in q.arrows()):
-        return Verdict(False, "arrow multiplicity above 1")
-    cycles = enumerate_simple_cycles(q, max_cycles)
-    for c in cycles:
-        if len(c) != 3 or not c.oriented:
-            return Verdict(False, f"cycle {c.vertices} is not an oriented triangle")
-    tri_arrows: set[tuple[Label, Label]] = set()
-    tri_at: dict[Label, list[tuple[Label, Label, Label]]] = {}
-    for c in cycles:
-        tri_arrows.update(c.arrows())
-        for v in c.vertices:
-            tri_at.setdefault(v, []).append(c.vertices)
+        raise NotTypeAError("arrow multiplicity above 1")
+    tris = []
+    for block in blocks(q):
+        cycle = oriented_cycle(q, block)
+        if len(block) > 3 or (len(block) == 3 and cycle is None):
+            raise NotTypeAError(
+                f"block {block} is neither an arrow nor an oriented triangle"
+            )
+        if cycle is not None:
+            tris.append(cycle)
+    tris.sort()
+    tri_arrows = {(t[i], t[(i + 1) % 3]) for t in tris for i in range(3)}
+    tri_at: dict[Label, list[Triangle]] = {}
+    for t in tris:
+        for v in t:
+            tri_at.setdefault(v, []).append(t)
     for v in q.vertices:
         nbrs = q.neighbors(v)
         if len(nbrs) > 4:
-            return Verdict(False, f"vertex {v!r} has {len(nbrs)} neighbors")
+            raise NotTypeAError(f"vertex {v!r} has {len(nbrs)} neighbors")
         local = tri_at.get(v, [])
         if len(nbrs) == 4:
             others = {w for t in local for w in t if w != v}
             if len(local) != 2 or len(others) != 4:
-                return Verdict(
-                    False,
-                    f"degree-4 vertex {v!r} not covered by two disjoint triangles",
+                raise NotTypeAError(
+                    f"degree-4 vertex {v!r} not covered by two disjoint triangles"
                 )
         elif len(nbrs) == 3:
             if len(local) != 1:
-                return Verdict(False, f"degree-3 vertex {v!r} needs exactly one triangle")
+                raise NotTypeAError(f"degree-3 vertex {v!r} needs exactly one triangle")
             spare = [
                 w
                 for w in nbrs
                 if (v, w) not in tri_arrows and (w, v) not in tri_arrows
             ]
             if len(spare) != 1:
-                return Verdict(
-                    False, f"degree-3 vertex {v!r}: third arrow lies on a triangle"
+                raise NotTypeAError(
+                    f"degree-3 vertex {v!r}: third arrow lies on a triangle"
                 )
+    return tris
+
+
+def is_type_a(q: Quiver) -> Verdict:
+    """Check the four local characterization conditions."""
+    try:
+        triangles(q)
+    except NotTypeAError as err:
+        return Verdict(False, str(err))
     return Verdict(True)
 
 
-def connecting_vertices(q: Quiver, max_cycles: int = 10000) -> frozenset[Label]:
-    """Vertices with at most two neighbors, in a triangle when exactly two."""
-    verdict = is_type_a(q, max_cycles)
-    if not verdict:
-        raise NotTypeAError(verdict.reason or "not mutation-equivalent to type A")
-    in_triangle = {v for t in triangles(q, max_cycles) for v in t}
+def _connecting(q: Quiver, tris: list[Triangle]) -> frozenset[Label]:
+    in_triangle = {v for t in tris for v in t}
     out = set()
     for v in q.vertices:
         deg = len(q.neighbors(v))
@@ -101,25 +110,28 @@ def connecting_vertices(q: Quiver, max_cycles: int = 10000) -> frozenset[Label]:
     return frozenset(out)
 
 
-def type_a_decompose(
-    q: Quiver, pinned: Iterable[Label] = (), max_cycles: int = 10000
-) -> ChainDecomposition:
+def connecting_vertices(q: Quiver) -> frozenset[Label]:
+    """Vertices with at most two neighbors, in a triangle when exactly two.
+
+    Raises NotTypeAError when ``q`` is not mutation-equivalent to type A.
+    """
+    return _connecting(q, triangles(q))
+
+
+def type_a_decompose(q: Quiver, pinned: Iterable[Label] = ()) -> ChainDecomposition:
     """Peel triangles into chains; every pinned vertex lands in a singleton.
 
     The triangle-adjacency graph of a type-A quiver is a forest; each
     component is processed from a root triangle (the pinned one when
     present) so that every later triangle still has two unplaced vertices.
     """
-    verdict = is_type_a(q, max_cycles)
-    if not verdict:
-        raise NotTypeAError(verdict.reason or "not mutation-equivalent to type A")
+    tris = triangles(q)
     pinned = {str(v) for v in pinned}
-    connecting = connecting_vertices(q, max_cycles)
+    connecting = _connecting(q, tris)
     for p in pinned:
         if p not in connecting:
             raise PinnedNotConnectingError(f"pinned vertex {p!r} is not connecting")
 
-    tris = triangles(q, max_cycles)
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(tris))}
     for i in range(len(tris)):
         for j in range(i + 1, len(tris)):

@@ -16,23 +16,27 @@ The classification distinguishes four structure types (rank at least 4):
   each attached through exactly one spike apex, connecting in its component.
 
 ``classify`` searches candidates in the fixed order IV, III, II, I and the
-first match wins.  The decomposer follows the per-type recipe and validates
-the result.
+first match wins.  Every type has at most one biconnected block that is
+neither a single arrow nor an oriented triangle (the central cycle with
+its spikes, the 4-cycle, or the two triangles sharing an arrow), so a
+quiver with two such blocks is rejected at once, and the type-IV and
+type-III centres are read off that one block.  The decomposer follows the
+per-type recipe and validates the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import enumerate_simple_cycles
+from .cycles import blocks, oriented_cycle
 from .decomposition import (
     ChainDecomposition,
     ValidationFailedError,
     Violation,
     decompose_with_chains,
 )
-from .quiver import Label, Quiver, full_subquiver
-from .type_a import connecting_vertices, is_type_a, type_a_decompose
+from .quiver import Label, Quiver, full_subquiver, make_quiver
+from .type_a import NotTypeAError, connecting_vertices, type_a_decompose
 
 
 @dataclass(frozen=True)
@@ -61,19 +65,25 @@ class TypeDClassification:
         return out
 
 
-def _components(q: Quiver, removed: set[Label]) -> list[list[Label]]:
-    left = [v for v in q.vertices if v not in removed]
-    seen: set[Label] = set()
+def _components(
+    q: Quiver, removed: set[Label], skip: tuple[Label, Label] | None = None
+) -> list[list[Label]]:
+    """Components of ``q`` without ``removed`` and the arrow ``skip``.
+
+    Each component is sorted, and they come in order of smallest vertex.
+    """
+    seen = set(removed)
     comps = []
-    for v in left:
+    for v in q.vertices:
         if v in seen:
             continue
         comp = [v]
         seen.add(v)
         stack = [v]
         while stack:
-            for w in q.neighbors(stack.pop()):
-                if w not in removed and w not in seen:
+            u = stack.pop()
+            for w in q.neighbors(u):
+                if w not in seen and skip not in ((u, w), (w, u)):
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
@@ -81,19 +91,58 @@ def _components(q: Quiver, removed: set[Label]) -> list[list[Label]]:
     return comps
 
 
-def _try_type_iv(q: Quiver) -> TypeDClassification | None:
-    cycles = [c for c in enumerate_simple_cycles(q) if c.oriented]
-    for cycle in cycles:
-        central = set(cycle.vertices)
-        # chordless: the induced subquiver is exactly the cycle
-        induced = full_subquiver(q, central)
-        if sorted(induced.arrows()) != sorted((u, v, 1) for u, v in cycle.arrows()):
-            continue
+def _centres(q: Quiver) -> list[tuple[Label, ...]] | None:
+    """Oriented chordless cycles that may be a type-IV or type-III centre.
+
+    Sorted by (length, vertices); None when two or more blocks are neither
+    an arrow nor an oriented triangle, which no type allows.  Without such
+    a block the candidates are the triangle blocks.  With one, B, they are
+    B when it is one oriented cycle, the triangle of each ear (a vertex with
+    two B-neighbours that close an oriented triangle with it), and B
+    without its ears when that is one oriented cycle.
+    """
+    found = blocks(q)
+    cycles = {block: oriented_cycle(q, block) for block in found}
+    nontrivial = [
+        b for b in found if len(b) > 3 or (len(b) == 3 and cycles[b] is None)
+    ]
+    if len(nontrivial) > 1:
+        return None
+    if not nontrivial:
+        return sorted(c for c in cycles.values() if c is not None)
+    inside = set(nontrivial[0])
+    centres = {cycles[nontrivial[0]]}
+    ears = set()
+    for v in inside:
+        nbrs = [w for w in q.neighbors(v) if w in inside]
+        ear = oriented_cycle(q, [v, *nbrs]) if len(nbrs) == 2 else None
+        if ear is not None:
+            centres.add(ear)
+            ears.add(v)
+    centres.add(oriented_cycle(q, inside - ears))
+    centres.discard(None)
+    return sorted(centres, key=lambda c: (len(c), c))
+
+
+def _connects(sub: Quiver, v: Label) -> bool:
+    """Whether ``sub`` is mutation-equivalent to type A with ``v`` connecting."""
+    try:
+        return v in connecting_vertices(sub)
+    except NotTypeAError:
+        return False
+
+
+def _try_type_iv(
+    q: Quiver, centres: list[tuple[Label, ...]]
+) -> TypeDClassification | None:
+    for cycle in centres:
+        central = set(cycle)
         spikes: list[tuple[Label, Label, Label]] = []
         apexes: set[Label] = set()
-        allowed: set[tuple[Label, Label]] = set(cycle.arrows())
+        arrows = list(zip(cycle, cycle[1:] + cycle[:1]))
+        allowed: set[tuple[Label, Label]] = set(arrows)
         ok = True
-        for a, b in cycle.arrows():
+        for a, b in arrows:
             candidates = [
                 x
                 for x in q.out_neighbors(b)
@@ -130,45 +179,32 @@ def _try_type_iv(q: Quiver) -> TypeDClassification | None:
                     comp_of_apex[apex] = comp
         if not ok or len(used) != len(comps):
             continue
-        for apex, comp in comp_of_apex.items():
-            sub = full_subquiver(q, comp)
-            if not is_type_a(sub) or apex not in connecting_vertices(sub):
-                ok = False
-                break
-        if ok:
+        if all(
+            _connects(full_subquiver(q, comp), apex)
+            for apex, comp in comp_of_apex.items()
+        ):
             return TypeDClassification(
-                "IV", central=cycle.vertices, spikes=tuple(sorted(spikes))
+                "IV", central=cycle, spikes=tuple(sorted(spikes))
             )
     return None
 
 
-def _try_type_iii(q: Quiver) -> TypeDClassification | None:
-    cycles = [
-        c for c in enumerate_simple_cycles(q) if c.oriented and len(c) == 4
-    ]
-    for cycle in cycles:
-        induced = full_subquiver(q, cycle.vertices)
-        if sorted(induced.arrows()) != sorted((u, v, 1) for u, v in cycle.arrows()):
-            continue
-        vs = cycle.vertices
+def _try_type_iii(
+    q: Quiver, centres: list[tuple[Label, ...]]
+) -> TypeDClassification | None:
+    for vs in (c for c in centres if len(c) == 4):
         for r in range(4):
             c, a, d, b = (vs[(r + i) % 4] for i in range(4))
             if len(q.neighbors(a)) != 2 or len(q.neighbors(b)) != 2:
                 continue
             comps = _components(q, {a, b})
-            if len(comps) != 2:
+            if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
                 continue
-            comp_c = next((x for x in comps if c in x), None)
-            comp_d = next((x for x in comps if d in x), None)
-            if comp_c is None or comp_d is None or comp_c is comp_d:
-                continue
-            sub_c = full_subquiver(q, comp_c)
-            sub_d = full_subquiver(q, comp_d)
-            if not is_type_a(sub_c) or not is_type_a(sub_d):
-                continue
-            if c not in connecting_vertices(sub_c) or d not in connecting_vertices(sub_d):
-                continue
-            return TypeDClassification("III", a=a, b=b, c=c, d=d)
+            comp_c, comp_d = comps if c in comps[0] else comps[::-1]
+            if _connects(full_subquiver(q, comp_c), c) and _connects(
+                full_subquiver(q, comp_d), d
+            ):
+                return TypeDClassification("III", a=a, b=b, c=c, d=d)
     return None
 
 
@@ -184,29 +220,20 @@ def _try_type_ii(q: Quiver) -> TypeDClassification | None:
             continue
         if len(q.neighbors(a)) != 2 or len(q.neighbors(b)) != 2:
             continue
-        removed = {a, b}
-        comps = _components_without_arrow(q, removed, (c, d))
-        if len(comps) != 2:
+        comps = _components(q, {a, b}, (c, d))
+        if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
             continue
-        comp_c = next((x for x in comps if c in x), None)
-        comp_d = next((x for x in comps if d in x), None)
-        if comp_c is None or comp_d is None or comp_c is comp_d:
-            continue
-        sub_c = _subquiver_without_arrow(q, comp_c, (c, d))
-        sub_d = _subquiver_without_arrow(q, comp_d, (c, d))
-        if not is_type_a(sub_c) or not is_type_a(sub_d):
-            continue
-        if c not in connecting_vertices(sub_c) or d not in connecting_vertices(sub_d):
-            continue
-        return TypeDClassification("II", a=a, b=b, c=c, d=d)
+        comp_c, comp_d = comps if c in comps[0] else comps[::-1]
+        if _connects(_subquiver_without_arrow(q, comp_c, (c, d)), c) and _connects(
+            _subquiver_without_arrow(q, comp_d, (c, d)), d
+        ):
+            return TypeDClassification("II", a=a, b=b, c=c, d=d)
     return None
 
 
 def _subquiver_without_arrow(
     q: Quiver, keep: list[Label], arrow: tuple[Label, Label]
 ) -> Quiver:
-    from .quiver import make_quiver
-
     kept = set(keep)
     arrows = [
         (u, v, m)
@@ -214,35 +241,6 @@ def _subquiver_without_arrow(
         if u in kept and v in kept and (u, v) != arrow
     ]
     return make_quiver(sorted(kept), arrows)
-
-
-def _components_without_arrow(
-    q: Quiver, removed: set[Label], arrow: tuple[Label, Label]
-) -> list[list[Label]]:
-    adjacency: dict[Label, set[Label]] = {
-        v: set() for v in q.vertices if v not in removed
-    }
-    for u, v, _ in q.arrows():
-        if u in removed or v in removed or (u, v) == arrow:
-            continue
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    comps = []
-    seen: set[Label] = set()
-    for v in sorted(adjacency):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _try_type_i(q: Quiver) -> TypeDClassification | None:
@@ -258,12 +256,8 @@ def _try_type_i(q: Quiver) -> TypeDClassification | None:
             comps = _components(q, {a, b})
             if len(comps) != 1:
                 continue
-            sub = full_subquiver(q, comps[0])
-            if not is_type_a(sub):
-                continue
-            if c not in connecting_vertices(sub):
-                continue
-            return TypeDClassification("I", a=a, b=b, c=c)
+            if _connects(full_subquiver(q, comps[0]), c):
+                return TypeDClassification("I", a=a, b=b, c=c)
     return None
 
 
@@ -277,11 +271,15 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
         return None
     if any(m != 1 for _, _, m in q.arrows()):
         return None
-    for attempt in (_try_type_iv, _try_type_iii, _try_type_ii, _try_type_i):
-        result = attempt(q)
-        if result is not None:
-            return result
-    return None
+    centres = _centres(q)
+    if centres is None:
+        return None
+    return (
+        _try_type_iv(q, centres)
+        or _try_type_iii(q, centres)
+        or _try_type_ii(q)
+        or _try_type_i(q)
+    )
 
 
 def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
@@ -294,7 +292,7 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
 
     if cls.kind == "II":
         removed = {cls.a, cls.b}
-        comps = _components_without_arrow(q, removed, (cls.c, cls.d))
+        comps = _components(q, removed, (cls.c, cls.d))
         comp_c = next(x for x in comps if cls.c in x)
         comp_d = next(x for x in comps if cls.d in x)
         dec_c = type_a_decompose(

@@ -98,3 +98,32 @@ def random_type_a_quiver(rng: random.Random, steps: int):
             triangles_at[w] = 0
             free_at[w] = 1
     return make_quiver(sorted(triangles_at), arrows)
+
+
+def reference_cycles(q: Quiver) -> list[tuple[tuple[str, ...], bool]]:
+    """Every simple cycle of the underlying graph, listed by networkx.
+
+    Each is (vertices, oriented).  An oriented cycle is listed in arrow
+    direction from its smallest label, so triangles compare with
+    ``type_a.triangles``; any other cycle is listed as networkx walks it.
+    This is an independent reference for the block recognizers; the library
+    itself does not use networkx.
+    """
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(q.vertices)
+    graph.add_edges_from((u, v) for u, v, _ in q.arrows())
+    out = []
+    for raw in nx.simple_cycles(graph):
+        pairs = list(zip(raw, raw[1:] + raw[:1]))
+        if all(q.b(u, v) > 0 for u, v in pairs):
+            cycle = raw
+        elif all(q.b(v, u) > 0 for u, v in pairs):
+            cycle = raw[::-1]
+        else:
+            out.append((tuple(raw), False))
+            continue
+        start = cycle.index(min(cycle))
+        out.append((tuple(cycle[start:] + cycle[:start]), True))
+    return out

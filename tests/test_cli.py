@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +300,52 @@ class TestMalformedInput:
         assert code == 2
         assert str(dfile) in err
 
+    @pytest.mark.parametrize(
+        "command, data, path",
+        [
+            ("quiver", {"vertices": ["a", "b"], "extra": []}, "extra"),
+            (
+                "quiver",
+                {"vertices": ["a", "b"], "arrows": [{"from": "b", "to": "a", "mlt": 3}]},
+                "arrows[0].mlt",
+            ),
+            ("sequence", {"steps": ["a"], "steps_count": 1}, "steps_count"),
+            ("decomposition", {"chains": [["a"], ["b"]], "extra": 0}, "extra"),
+        ],
+        ids=["quiver", "arrow", "sequence", "decomposition"],
+    )
+    def test_unknown_key_is_invalid(self, capsys, tmp_path, command, data, path):
+        qfile = tmp_path / "q.json"
+        other = tmp_path / "other.json"
+        qfile.write_text(
+            json.dumps({"vertices": ["a", "b"], "arrows": [{"from": "b", "to": "a"}]})
+        )
+        other.write_text(json.dumps(data))
+        argv = {
+            "quiver": ["export", str(other), "--format", "json"],
+            "sequence": ["verify", str(qfile), str(other)],
+            "decomposition": ["mgs", str(qfile), "--decomposition", str(other)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unknown key {path}" in err
+
+    def test_dense_quiver_is_rejected_without_a_cycle_budget(self, capsys, tmp_path):
+        # every pair of 10 vertices joined: 45 arrows, millions of simple cycles
+        labels = [f"v{i}" for i in range(10)]
+        arrows = [
+            (labels[i], labels[j]) if (i + j) % 2 else (labels[j], labels[i])
+            for i in range(10)
+            for j in range(i + 1, 10)
+        ]
+        qfile = write_quiver(tmp_path / "q.json", make_quiver(labels, arrows))
+        code, out, err = run(capsys, "mgs", qfile)
+        assert code == 2
+        assert out == ""
+        assert "no chain decomposition found" in err
+        assert "cycle" not in err
+
 
 class TestSearch:
     def test_count_and_min(self, capsys, tmp_path):
@@ -422,3 +472,23 @@ class TestExport:
         run(capsys, "generate", "--fixture", "fig8", "--quiver-out", str(qfile))
         with pytest.raises(SystemExit):
             run(capsys, "export", str(qfile), "--format", "svg")
+
+
+def test_runs_without_networkx(tmp_path):
+    """The library and CLI import and run with networkx made unimportable."""
+    import greenseq
+    from greenseq.fixtures import fig7_quiver
+
+    qfile = write_quiver(tmp_path / "fig7.json", fig7_quiver())
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import greenseq\n"
+        "from greenseq import cli\n"
+        f"sys.exit(cli.main(['mgs', {qfile!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(greenseq.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["family"] == "oriented_cycles"

@@ -1,15 +1,15 @@
-"""Cycle enumeration and oriented-cycle-glued decompositions."""
+"""Biconnected blocks and oriented-cycle-glued decompositions."""
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from greenseq.cycles import (
-    CycleBudgetExceededError,
-    all_cycles_oriented_decompose,
-    enumerate_simple_cycles,
-    is_irreducible,
-)
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_quiver, random_type_a_quiver, reference_cycles
+from greenseq.cycles import all_cycles_oriented_decompose, blocks, oriented_cycle
 from greenseq.decomposition import (
     check_step_shapes,
     construct_mgs,
@@ -17,7 +17,8 @@ from greenseq.decomposition import (
     underlying_quiver,
 )
 from greenseq.fixtures import fig7_quiver, fig8_quiver, oriented_cycles_example
-from greenseq.quiver import is_maximal_green_sequence, make_quiver
+from greenseq.quiver import Quiver, is_maximal_green_sequence, make_quiver
+from greenseq.type_a import is_type_a, triangles
 
 
 def triangle():
@@ -25,40 +26,126 @@ def triangle():
 
 
 class TestEnumeration:
+    """``blocks`` lists the biconnected blocks of the underlying graph."""
+
     def test_tree_has_no_cycles(self):
         q = make_quiver([1, 2, 3], [(2, 1), (3, 2)])
-        assert enumerate_simple_cycles(q) == []
+        assert blocks(q) == [("1", "2"), ("2", "3")]
 
     def test_oriented_triangle(self):
-        cycles = enumerate_simple_cycles(triangle())
-        assert len(cycles) == 1
-        assert cycles[0].oriented
-        assert cycles[0].vertices == ("1", "2", "3")
-        assert cycles[0].arrows() == [("1", "2"), ("2", "3"), ("3", "1")]
+        assert blocks(triangle()) == [("1", "2", "3")]
+        assert oriented_cycle(triangle(), ("1", "2", "3")) == ("1", "2", "3")
+        reversed_triangle = make_quiver([1, 2, 3], [(2, 1), (3, 2), (1, 3)])
+        assert oriented_cycle(reversed_triangle, ("1", "2", "3")) == ("1", "3", "2")
 
     def test_non_oriented_cycle_tagged(self):
         q = make_quiver([1, 2, 3], [(1, 2), (3, 2), (3, 1)])
-        cycles = enumerate_simple_cycles(q)
-        assert len(cycles) == 1
-        assert not cycles[0].oriented
+        assert blocks(q) == [("1", "2", "3")]
+        assert oriented_cycle(q, ("1", "2", "3")) is None
 
     def test_chained_triangles_have_three_cycles(self):
-        cycles = enumerate_simple_cycles(fig8_quiver())
-        assert [len(c) for c in cycles] == [3, 3, 3]
-        assert all(c.oriented for c in cycles)
+        q = fig8_quiver()
+        found = blocks(q)
+        assert [len(b) for b in found] == [3, 3, 3]
+        assert len(set().union(*found)) == len(q.vertices)
+        assert all(oriented_cycle(q, b) is not None for b in found)
+        assert triangles(q) == sorted(c for c, _ in reference_cycles(q))
 
-    def test_budget(self):
-        with pytest.raises(CycleBudgetExceededError):
-            enumerate_simple_cycles(fig8_quiver(), max_cycles=2)
+    def test_isolated_vertex_is_in_no_block(self):
+        q = make_quiver([1, 2, 3], [(1, 2)])
+        assert blocks(q) == [("1", "2")]
+
+    def test_two_disjoint_cycles_are_not_one_cycle(self):
+        q = make_quiver([1, 2, 3, 4, 5, 6], [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+        assert oriented_cycle(q, q.vertices) is None
+        assert oriented_cycle(q, ("4", "5", "6")) == ("4", "5", "6")
+
+    def test_two_cycles_sharing_an_arrow_are_one_block(self):
+        q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)])
+        assert blocks(q) == [("1", "2", "3", "4")]
+        assert oriented_cycle(q, blocks(q)[0]) is None
 
 
 class TestIrreducible:
+    """Every arrow lies on an oriented cycle when every block is one."""
+
     def test_triangle_irreducible(self):
-        assert is_irreducible(triangle())
+        (block,) = blocks(triangle())
+        assert oriented_cycle(triangle(), block) is not None
 
     def test_pendant_arrow_not_irreducible(self):
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 1), (3, 4)])
-        assert not is_irreducible(q)
+        assert blocks(q) == [("3", "4"), ("1", "2", "3")]
+        assert all_cycles_oriented_decompose(q) is None
+
+
+def random_cactus(rng: random.Random, n: int) -> Quiver:
+    """Oriented cycles and pendant arrows glued at single vertices.
+
+    Then one arrow may be reversed or one arrow added, so both sides of
+    each characterisation are drawn.
+    """
+    b = np.zeros((n, n), dtype=np.int64)
+    placed = 1
+    while placed < n:
+        size = min(rng.randint(1, 4), n - placed)
+        cycle = [rng.randrange(placed), *range(placed, placed + size)]
+        pairs = zip(cycle, cycle[1:] + cycle[:1]) if size > 1 else [cycle]
+        for u, v in pairs:
+            b[u, v], b[v, u] = 1, -1
+        placed += size
+    if n > 1 and rng.random() < 0.5:
+        u, v = rng.sample(range(n), 2)
+        # reverse the arrow between u and v, or add one where there is none
+        b[u, v], b[v, u] = (b[v, u], b[u, v]) if b[u, v] else (1, -1)
+    return Quiver(tuple(f"v{i}" for i in range(n)), b)
+
+
+@st.composite
+def simple_quivers(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "cactus", "type_a"]))
+    if kind == "cactus":
+        return random_cactus(rng, n)
+    if kind == "type_a":
+        return random_type_a_quiver(rng, n // 3)
+    return random_quiver(rng, n, draw(st.sampled_from([0.2, 0.35, 0.5, 0.8])), 1)
+
+
+class TestBlocksAgainstCycleEnumeration:
+    """Both block characterisations against networkx's simple cycles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=simple_quivers())
+    def test_oriented_cycle_family(self, q):
+        reference = reference_cycles(q)
+        on_cycle = {
+            frozenset(pair)
+            for c, _ in reference
+            for pair in zip(c, c[1:] + c[:1])
+        }
+        expected = all(oriented for _, oriented in reference) and all(
+            frozenset((u, v)) in on_cycle for u, v, _ in q.arrows()
+        )
+        cycles = [oriented_cycle(q, b) for b in blocks(q)]
+        assert (None not in cycles) == expected
+        if expected:
+            assert sorted(cycles) == sorted(c for c, _ in reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=simple_quivers())
+    def test_triangle_family(self, q):
+        reference = reference_cycles(q)
+        expected = all(oriented and len(c) == 3 for c, oriented in reference)
+        found = blocks(q)
+        trivial = all(
+            len(b) == 2 or (len(b) == 3 and oriented_cycle(q, b) is not None)
+            for b in found
+        )
+        assert trivial == expected
+        if is_type_a(q):
+            assert triangles(q) == sorted(c for c, _ in reference)
 
 
 class TestDecompose:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from greenseq.decomposition import (
@@ -109,6 +111,37 @@ def test_malformed_decomposition_rejected():
     ):
         with pytest.raises(DecompositionError):
             decomposition_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "parse, data, error, path",
+    [
+        (quiver_from_dict, {"vertices": ["a"], "extra": 1}, QuiverError, "extra"),
+        (
+            quiver_from_dict,
+            {"vertices": ["a", "b"], "arrows": [{"from": "a", "to": "b", "mlt": 3}]},
+            QuiverError,
+            "arrows[0].mlt",
+        ),
+        (sequence_from_dict, {"steps": ["a"], "ordre": "execution"}, QuiverError, "ordre"),
+        (
+            decomposition_from_dict,
+            {"chains": [["a"]], "obliques": []},
+            DecompositionError,
+            "obliques",
+        ),
+        (
+            decomposition_from_dict,
+            {"chains": [["a"], ["b"]], "oblique": [{"from": "a", "to": "b", "m": 1}]},
+            DecompositionError,
+            "oblique[0].m",
+        ),
+    ],
+    ids=["quiver", "arrow", "sequence", "decomposition", "oblique"],
+)
+def test_unknown_key_rejected(parse, data, error, path):
+    with pytest.raises(error, match=f"unknown key {re.escape(path)};"):
+        parse(data)
 
 
 def test_decomposition_round_trip():

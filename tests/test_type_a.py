@@ -6,12 +6,12 @@ import random
 
 import pytest
 
+from conftest import reference_cycles
 from greenseq.decomposition import (
     construct_mgs,
     expected_mgs_length,
     underlying_quiver,
 )
-from greenseq.cycles import enumerate_simple_cycles
 from greenseq.families import linear_a
 from greenseq.fixtures import fig8_quiver, type_a_samples
 from greenseq.oracle import min_mgs_length
@@ -145,9 +145,7 @@ class TestDecompose:
             seq = construct_mgs(dec)
             assert is_maximal_green_sequence(q, seq)
             assert check_step_shapes(dec, seq) == []
-            tri_count = len(
-                [c for c in enumerate_simple_cycles(q) if len(c) == 3]
-            )
+            tri_count = len([c for c, _ in reference_cycles(q) if len(c) == 3])
             assert expected_mgs_length(dec) == len(q.vertices) + tri_count
 
     def test_length_formula_matches_oracle(self):
@@ -158,7 +156,7 @@ class TestDecompose:
         ]
         for q in cases:
             dec = type_a_decompose(q)
-            triangles = [c for c in enumerate_simple_cycles(q) if len(c) == 3]
+            triangles = [c for c, _ in reference_cycles(q) if len(c) == 3]
             formula = len(q.vertices) + len(triangles)
             assert expected_mgs_length(dec) == formula
             assert min_mgs_length(q) == formula

@@ -52,6 +52,28 @@ class TestClassification:
         dec = type_d_decompose(q, cls)
         assert is_maximal_green_sequence(q, construct_mgs(dec))
 
+    def test_apex_over_two_cycle_arrows_is_not_type_iv(self):
+        # p sits over a -> b and over c -> d of the square; this quiver is
+        # outside the D5 mutation class (a search of the class's 26 quivers
+        # does not find it), so no type applies
+        q = make_quiver(
+            ["a", "b", "c", "d", "p"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+             ("b", "p"), ("p", "a"), ("d", "p"), ("p", "c")],
+        )
+        assert classify_type_d(q) is None
+        assert auto_decompose(q) is None
+
+    def test_two_blocks_beyond_triangles_are_rejected(self):
+        # two oriented squares sharing a vertex: neither is a centre with
+        # type-A components attached through spikes
+        q = make_quiver(
+            list("abcdefg"),
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+             ("a", "e"), ("e", "f"), ("f", "g"), ("g", "a")],
+        )
+        assert classify_type_d(q) is None
+
     def test_deterministic(self):
         for kind in "abcd":
             q = fig10_quiver(kind)
