@@ -105,7 +105,7 @@ def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:
     """
     if not q.is_connected() or len(q.vertices) == 0:
         return None
-    if any(m != 1 for _, _, m in q.arrows()):
+    if (q.matrix > 1).any():
         return None
     cycles = [oriented_cycle(q, block) for block in blocks(q)]
     if None in cycles:

@@ -24,7 +24,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .quiver import (
     Label,
@@ -34,7 +37,6 @@ from .quiver import (
     QuiverError,
     _framed_rows,
     _replay,
-    make_quiver,
 )
 from .serialize import _json_labels, _known_keys
 
@@ -116,24 +118,54 @@ def _as_chain_tuples(chains: Iterable[Iterable[Label]]) -> tuple[tuple[Label, ..
     return tuple(tuple(str(v) for v in chain) for chain in chains)
 
 
+class _Layout:
+    """Chain vertices as ints: vertex (c, p) is ``offsets[c - 1] + p - 1``.
+
+    Ascending int order is (chain, position) order.
+    """
+
+    __slots__ = ("lengths", "offsets", "chain_of")
+
+    def __init__(self, lengths: Iterable[int]):
+        self.lengths = tuple(lengths)
+        self.offsets = list(accumulate(self.lengths, initial=0))
+        self.chain_of = [c for c, k in enumerate(self.lengths, 1) for _ in range(k)]
+
+    def vertex(self, i: int) -> ChainVertex:
+        chain = self.chain_of[i]
+        return ChainVertex(chain, i - self.offsets[chain - 1] + 1)
+
+    def index(self, cv: ChainVertex) -> int:
+        """The int of a chain vertex; KeyError when the decomposition has none."""
+        if 1 <= cv.chain <= len(self.lengths) and 1 <= cv.position <= self.lengths[cv.chain - 1]:
+            return self.offsets[cv.chain - 1] + cv.position - 1
+        raise KeyError(cv)
+
+
 class ChainDecomposition:
     """Validated chains-plus-obliques presentation of a quiver.
 
-    ``chains[i]`` lists chain i+1 from position 1 (sink end) upward.  The
-    underlying quiver and the vertex partial order are computed once at
-    construction and cached; instances are immutable by convention.
+    ``chains[i]`` lists chain i+1 from position 1 (sink end) upward.  Oblique
+    ends may be vertex labels or ChainVertex pairs.  Inside, every vertex is
+    one int (see :class:`_Layout`) and obliques are int pairs; ``obliques``
+    builds its ChainVertex pairs when read.  The vertex partial order and
+    the underlying quiver are computed on first use and cached; instances
+    are immutable by convention.
     """
 
     def __init__(
         self,
         chains: Iterable[Iterable[Label]],
-        obliques: Iterable[Oblique],
+        obliques: Iterable[tuple],
         _validated: bool = False,
     ):
         self.chains = _as_chain_tuples(chains)
-        self.obliques = tuple(sorted(obliques))
+        self._layout = _Layout(len(c) for c in self.chains)
+        self._labels = tuple(v for chain in self.chains for v in chain)
+        self._index = {v: i for i, v in enumerate(self._labels)}
+        ends = sorted((self._resolve(src), self._resolve(dst)) for src, dst in obliques)
         if not _validated:
-            violations = validate_chains(self.chains, self.obliques)
+            violations = validate_chains(self.chains, ends)
             if violations:
                 first = violations[0]
                 if first.code not in _ERROR_BY_CODE:
@@ -141,40 +173,41 @@ class ChainDecomposition:
                 error = _ERROR_BY_CODE[first.code](first.message)
                 error.violations = tuple(violations)
                 raise error
-        self._label_of = {
-            ChainVertex(i + 1, l + 1): v
-            for i, chain in enumerate(self.chains)
-            for l, v in enumerate(chain)
-        }
-        self._cv_of = {v: cv for cv, v in self._label_of.items()}
-        self._quiver = self._build_quiver()
+        index = self._layout.index
+        self._obliques = tuple((index(src), index(dst)) for src, dst in ends)
+        self._quiver: Quiver | None = None
         self._order: OrderRelation | None = None
+
+    def _resolve(self, end) -> ChainVertex:
+        if isinstance(end, ChainVertex):
+            return end
+        i = self._index.get(str(end))
+        if i is None:
+            raise QuiverError(f"oblique endpoint not in any chain: {end!r}")
+        return self._layout.vertex(i)
+
+    @property
+    def obliques(self) -> tuple[Oblique, ...]:
+        vertex = self._layout.vertex
+        return tuple((vertex(src), vertex(dst)) for src, dst in self._obliques)
 
     @property
     def chain_lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.chains)
+        return self._layout.lengths
 
     @property
     def n_chains(self) -> int:
         return len(self.chains)
 
     def vertices(self) -> tuple[Label, ...]:
-        return self._quiver.vertices
+        """The vertex labels, sorted as in the underlying quiver."""
+        return tuple(sorted(self._labels))
 
     def label_of(self, cv: ChainVertex) -> Label:
-        return self._label_of[cv]
+        return self._labels[self._layout.index(cv)]
 
     def chain_vertex_of(self, label: Label) -> ChainVertex:
-        return self._cv_of[str(label)]
-
-    def _build_quiver(self) -> Quiver:
-        arrows = []
-        for chain in self.chains:
-            for low, high in zip(chain, chain[1:]):
-                arrows.append((high, low, 1))
-        for src, dst in self.obliques:
-            arrows.append((self._label_of[src], self._label_of[dst], 1))
-        return make_quiver(self._label_of.values(), arrows)
+        return self._layout.vertex(self._index[str(label)])
 
     def order(self) -> "OrderRelation":
         if self._order is None:
@@ -194,22 +227,7 @@ def build_decomposition(
     ``obliques`` may use vertex labels or ChainVertex pairs; all structural
     rules are checked and the first violation is raised as a typed error.
     """
-    chains = _as_chain_tuples(chains)
-    cv_of = {
-        v: ChainVertex(i + 1, l + 1)
-        for i, chain in enumerate(chains)
-        for l, v in enumerate(chain)
-    }
-    def resolve(end) -> ChainVertex:
-        if isinstance(end, ChainVertex):
-            return end
-        cv = cv_of.get(str(end))
-        if cv is None:
-            raise QuiverError(f"oblique endpoint not in any chain: {end!r}")
-        return cv
-
-    resolved = [(resolve(src), resolve(dst)) for src, dst in obliques]
-    return ChainDecomposition(chains, resolved)
+    return ChainDecomposition(chains, obliques)
 
 
 def validate_chains(
@@ -357,7 +375,24 @@ def _zigzag_violation(pair: tuple[int, int], arrows: list[Oblique]) -> Violation
 
 
 def underlying_quiver(dec: ChainDecomposition) -> Quiver:
-    """The quiver presented by the decomposition (all multiplicities 1)."""
+    """The quiver presented by the decomposition (all multiplicities 1).
+
+    Built on first use straight from the chains and obliques, then cached.
+    Validation already ruled out loops, 2-cycles and repeated labels, so
+    the matrix is filled without the checks of :func:`make_quiver`.
+    """
+    if dec._quiver is None:
+        order = tuple(sorted(dec._labels))
+        index = {v: i for i, v in enumerate(order)}
+        place = np.array([index[v] for v in dec._labels], dtype=np.intp)
+        chain_of = dec._layout.chain_of
+        low = [i for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]]
+        src = place[[i + 1 for i in low] + [s for s, _ in dec._obliques]]
+        dst = place[low + [d for _, d in dec._obliques]]
+        b = np.zeros((len(order), len(order)), dtype=np.int64)
+        b[src, dst] = 1
+        b[dst, src] = -1
+        dec._quiver = Quiver._trusted(order, b, index)
     return dec._quiver
 
 
@@ -376,7 +411,7 @@ def decompose_with_chains(
         raise ValidationFailedError(
             [Violation("vertex-map", "vertex-map", "chains do not partition the vertex set")]
         )
-    if any(m != 1 for _, _, m in q.arrows()):
+    if (q.matrix > 1).any():
         raise ValidationFailedError(
             [Violation("multiplicity", "vertical-chains", "arrow multiplicity above 1")]
         )
@@ -399,10 +434,12 @@ def decompose_with_chains(
         for i, chain in enumerate(chains)
         for l, v in enumerate(chain)
     }
+    names = q.vertices
+    rows, cols = np.nonzero(q.matrix > 0)
     obliques = [
-        (cv_of[u], cv_of[v])
-        for u, v, _ in q.arrows()
-        if (u, v) not in vertical
+        (cv_of[names[i]], cv_of[names[j]])
+        for i, j in zip(rows.tolist(), cols.tolist())
+        if (names[i], names[j]) not in vertical
     ]
     violations = validate_chains(chains, obliques)
     if violations:
@@ -413,24 +450,49 @@ def decompose_with_chains(
 class OrderRelation:
     """Cover pairs over chain vertices and one descending linear extension.
 
-    The extension is computed once by Kahn's algorithm over the covers, with
-    a heap of ready vertices, so ties break by smallest chain, then smallest
-    position.  A cycle among the covers (a self-cover included) leaves
-    vertices that never become ready and raises OrderCycleDetectedError.
-    No closure is stored: :meth:`greater` searches the covers when called.
+    Inside, vertices are the ints 0..n-1 in (chain, position) order; for a
+    decomposition, a vertex's int is its chain offset plus its position
+    minus 1 (see :class:`_Layout`).  Covers and the extension are stored as
+    ints; ``vertices``, ``covers`` and ``extension`` build their ChainVertex
+    tuples when read.  The extension is computed once by Kahn's algorithm
+    over the covers, with a heap of ready ints, so ties break by smallest
+    chain, then smallest position.  A cycle among the covers (a self-cover
+    included) leaves vertices that never become ready and raises
+    OrderCycleDetectedError.  No closure is stored: :meth:`greater`
+    searches the covers when called.
     """
 
     def __init__(self, vertices: Sequence[ChainVertex], covers: Iterable[tuple[ChainVertex, ChainVertex]]):
-        self.vertices = tuple(sorted(vertices))
-        self.covers = tuple(dict.fromkeys(covers))
-        self._index = {cv: i for i, cv in enumerate(self.vertices)}
-        n = len(self.vertices)
+        ordered = sorted(vertices)
+        index = {cv: i for i, cv in enumerate(ordered)}
+        self._build(
+            len(ordered),
+            [(index[hi], index[lo]) for hi, lo in covers],
+            ordered.__getitem__,
+            index.__getitem__,
+        )
+
+    @classmethod
+    def _indexed(cls, layout: _Layout, covers: list[tuple[int, int]]) -> "OrderRelation":
+        """The order over a decomposition's ints, from int cover pairs."""
+        rel = cls.__new__(cls)
+        rel._build(len(layout.chain_of), covers, layout.vertex, layout.index)
+        return rel
+
+    def _build(
+        self,
+        n: int,
+        covers: Iterable[tuple[int, int]],
+        vertex: Callable[[int], ChainVertex],
+        index_of: Callable[[ChainVertex], int],
+    ) -> None:
+        self._n, self._vertex, self._index_of = n, vertex, index_of
+        self._covers = tuple(dict.fromkeys(covers))
         self._below: list[list[int]] = [[] for _ in range(n)]
         above = [0] * n
-        for hi, lo in self.covers:
-            i, j = self._index[hi], self._index[lo]
-            self._below[i].append(j)
-            above[j] += 1
+        for hi, lo in self._covers:
+            self._below[hi].append(lo)
+            above[lo] += 1
         ready = [i for i in range(n) if above[i] == 0]  # ascending, so a heap
         out: list[int] = []
         while ready:
@@ -441,14 +503,27 @@ class OrderRelation:
                 if above[j] == 0:
                     heapq.heappush(ready, j)
         if len(out) != n:
-            stuck = next(cv for i, cv in enumerate(self.vertices) if above[i])
-            raise OrderCycleDetectedError(f"order cycle through {stuck}")
-        self.extension = tuple(self.vertices[i] for i in out)
+            stuck = next(i for i in range(n) if above[i])
+            raise OrderCycleDetectedError(f"order cycle through {vertex(stuck)}")
+        self._extension = tuple(out)
+
+    @property
+    def vertices(self) -> tuple[ChainVertex, ...]:
+        return tuple(map(self._vertex, range(self._n)))
+
+    @property
+    def covers(self) -> tuple[tuple[ChainVertex, ChainVertex], ...]:
+        vertex = self._vertex
+        return tuple((vertex(hi), vertex(lo)) for hi, lo in self._covers)
+
+    @property
+    def extension(self) -> tuple[ChainVertex, ...]:
+        return tuple(map(self._vertex, self._extension))
 
     def greater(self, u: ChainVertex, v: ChainVertex) -> bool:
         """Whether a chain of covers leads down from u to v (depth-first search)."""
-        target = self._index[v]
-        stack = list(self._below[self._index[u]])
+        target = self._index_of(v)
+        stack = list(self._below[self._index_of(u)])
         seen = set(stack)
         while stack:
             i = stack.pop()
@@ -462,81 +537,61 @@ class OrderRelation:
 
 
 def _pair_order_lines(
-    dec: ChainDecomposition, pair_arrows: list[Oblique]
-) -> list[list[ChainVertex]]:
-    """Descending runs of vertices read off one chain pair's zigzag.
+    layout: _Layout, pair_arrows: list[tuple[int, int]]
+) -> list[list[int]]:
+    """Descending runs of vertex ints read off one chain pair's zigzag.
 
     The zigzag starts by leaving chain i.  When its last arrow enters the
     other chain j, the tail of chain i below the zigzag precedes the tail
     of chain j; when it re-enters chain i, the roles of the tails swap.
     Consecutive entries of every returned run are cover relations.
     """
-    outgoing = {src: dst for src, dst in pair_arrows}
-    indegree = {dst for _, dst in pair_arrows}
-    start = next(src for src, _ in pair_arrows if src not in indegree)
+    outgoing = dict(pair_arrows)
+    entered = {dst for _, dst in pair_arrows}
+    start = next(src for src, _ in pair_arrows if src not in entered)
     path = [start]
     while path[-1] in outgoing:
         path.append(outgoing[path[-1]])
 
-    ci = start.chain
-    cj = path[1].chain
-    a = [cv.position for cv in path if cv.chain == ci]
-    b = [cv.position for cv in path if cv.chain == cj]
-    k_i = len(dec.chains[ci - 1])
-    k_j = len(dec.chains[cj - 1])
+    chain_of = layout.chain_of
+    ci, cj = chain_of[start], chain_of[path[1]]
+    a = [x for x in path if chain_of[x] == ci]
+    b = [x for x in path if chain_of[x] == cj]
+    end_i, end_j = layout.offsets[ci], layout.offsets[cj]  # one past each chain
+    prev_b = layout.offsets[cj - 1] - 1  # the int just below chain j
 
-    def vi(pos: int) -> ChainVertex:
-        return ChainVertex(ci, pos)
-
-    def vj(pos: int) -> ChainVertex:
-        return ChainVertex(cj, pos)
-
-    lines: list[list[ChainVertex]] = []
-    if path[-1].chain == cj:
-        n = len(b)
-        for l in range(1, n + 1):
-            prev_b = b[l - 2] if l >= 2 else 0
-            lines.append([vi(a[l - 1])] + [vj(p) for p in range(prev_b + 1, b[l - 1] + 1)])
-        for l in range(1, n):
-            lines.append([vj(b[l - 1])] + [vi(p) for p in range(a[l - 1] + 1, a[l] + 1)])
-        lines.append(
-            [vj(b[n - 1])]
-            + [vi(p) for p in range(a[n - 1] + 1, k_i + 1)]
-            + [vj(p) for p in range(b[n - 1] + 1, k_j + 1)]
-        )
+    lines: list[list[int]] = []
+    if chain_of[path[-1]] == cj:
+        for x, y in zip(a, b):
+            lines.append([x, *range(prev_b + 1, y + 1)])
+            prev_b = y
+        for l in range(len(b) - 1):
+            lines.append([b[l], *range(a[l] + 1, a[l + 1] + 1)])
+        lines.append([b[-1], *range(a[-1] + 1, end_i), *range(b[-1] + 1, end_j)])
     else:
-        m = len(b)
-        for l in range(1, m + 1):
-            prev_b = b[l - 2] if l >= 2 else 0
-            lines.append([vi(a[l - 1])] + [vj(p) for p in range(prev_b + 1, b[l - 1] + 1)])
-            lines.append([vj(b[l - 1])] + [vi(p) for p in range(a[l - 1] + 1, a[l] + 1)])
-        lines.append(
-            [vi(a[m])]
-            + [vj(p) for p in range(b[m - 1] + 1, k_j + 1)]
-            + [vi(p) for p in range(a[m] + 1, k_i + 1)]
-        )
+        for l, y in enumerate(b):
+            lines.append([a[l], *range(prev_b + 1, y + 1)])
+            lines.append([y, *range(a[l] + 1, a[l + 1] + 1)])
+            prev_b = y
+        lines.append([a[-1], *range(b[-1] + 1, end_j), *range(a[-1] + 1, end_i)])
     return lines
 
 
 def cover_relations(dec: ChainDecomposition) -> OrderRelation:
     """The vertex partial order: within-chain covers plus per-pair zigzag covers."""
-    covers: list[tuple[ChainVertex, ChainVertex]] = []
-    for i, chain in enumerate(dec.chains):
-        for l in range(1, len(chain)):
-            covers.append((ChainVertex(i + 1, l), ChainVertex(i + 1, l + 1)))
-    by_pair: dict[tuple[int, int], list[Oblique]] = {}
-    for src, dst in dec.obliques:
-        key = (min(src.chain, dst.chain), max(src.chain, dst.chain))
-        by_pair.setdefault(key, []).append((src, dst))
-    for _, arrows in sorted(by_pair.items()):
-        for line in _pair_order_lines(dec, arrows):
-            covers.extend(zip(line, line[1:]))
-    vertices = [
-        ChainVertex(i + 1, l + 1)
-        for i, chain in enumerate(dec.chains)
-        for l in range(len(chain))
+    layout = dec._layout
+    chain_of = layout.chain_of
+    covers = [
+        (i, i + 1) for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]
     ]
-    return OrderRelation(vertices, covers)
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for src, dst in dec._obliques:
+        ci, cj = chain_of[src], chain_of[dst]
+        by_pair.setdefault((min(ci, cj), max(ci, cj)), []).append((src, dst))
+    for _, arrows in sorted(by_pair.items()):
+        for line in _pair_order_lines(layout, arrows):
+            covers.extend(zip(line, line[1:]))
+    return OrderRelation._indexed(layout, covers)
 
 
 def is_greater(dec: ChainDecomposition, u, v) -> bool:
@@ -576,10 +631,13 @@ def construct_mgs(dec: ChainDecomposition) -> MutationSequence:
     The result is a maximal green sequence of the underlying quiver, of
     length :func:`expected_mgs_length`.
     """
+    chain_of, offsets = dec._layout.chain_of, dec._layout.offsets
     steps: list[Label] = []
-    for cv in descending_order(dec):
-        chain = dec.chains[cv.chain - 1]
-        steps.extend(chain[: len(chain) - cv.position + 1])
+    for i in dec.order()._extension:
+        chain = dec.chains[chain_of[i] - 1]
+        # vertex i sits at position i - offset + 1, so its run has
+        # len(chain) - i + offset steps
+        steps.extend(chain[: len(chain) - i + offsets[chain_of[i] - 1]])
     return MutationSequence(tuple(steps))
 
 
@@ -647,7 +705,7 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
     """
     if seq is None:
         seq = construct_mgs(dec)
-    chain_of = {v: dec.chain_vertex_of(v).chain for v in dec.vertices()}
+    chain_of = {v: dec._layout.chain_of[i] for v, i in dec._index.items()}
     q = underlying_quiver(dec)
     frozen, m = _framed_rows(q)
     n = len(q.vertices)
@@ -673,8 +731,8 @@ def decomposition_to_dict(dec: ChainDecomposition) -> dict:
     return {
         "chains": [list(chain) for chain in dec.chains],
         "oblique": [
-            {"from": dec.label_of(src), "to": dec.label_of(dst)}
-            for src, dst in dec.obliques
+            {"from": dec._labels[src], "to": dec._labels[dst]}
+            for src, dst in dec._obliques
         ],
     }
 

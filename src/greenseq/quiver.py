@@ -190,16 +190,22 @@ class Quiver:
         return [self.vertices[j] for j in np.nonzero(self.matrix[i] != 0)[0]]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        n = len(self.vertices)
+        if not n:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        rows, cols = np.nonzero(self.matrix)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            adjacent[i].append(j)
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
         while stack:
-            for w in self.neighbors(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+            for j in adjacent[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return all(seen)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,7 +48,7 @@ def triangles(q: Quiver) -> list[Triangle]:
     """
     if not q.is_connected():
         raise NotTypeAError("not connected")
-    if any(m != 1 for _, _, m in q.arrows()):
+    if (q.matrix > 1).any():
         raise NotTypeAError("arrow multiplicity above 1")
     tris = []
     for block in blocks(q):

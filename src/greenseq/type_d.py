@@ -269,7 +269,7 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
     """
     if len(q.vertices) < 4 or not q.is_connected():
         return None
-    if any(m != 1 for _, _, m in q.arrows()):
+    if (q.matrix > 1).any():
         return None
     centres = _centres(q)
     if centres is None:

@@ -5,7 +5,10 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenseq import quiver
 from greenseq.decomposition import (
     ChainGraphCycleError,
     ChainVertex,
@@ -21,6 +24,8 @@ from greenseq.decomposition import (
     construct_mgs,
     cover_relations,
     decompose_with_chains,
+    decomposition_from_dict,
+    decomposition_to_dict,
     descending_order,
     expected_mgs_length,
     is_greater,
@@ -36,8 +41,10 @@ from greenseq.fixtures import (
     three_chain_quiver,
 )
 from greenseq.quiver import (
+    Quiver,
     full_subquiver,
     is_maximal_green_sequence,
+    make_quiver,
     restrict_sequence,
 )
 
@@ -119,6 +126,44 @@ class TestBuildAndValidate:
         dec = decompose_with_chains(q, THREE_CHAIN_CHAINS)
         assert validate_chains(dec.chains, dec.obliques) == []
         assert underlying_quiver(dec) == q
+
+
+@st.composite
+def decomposition_params(draw):
+    """(seed, chains, max_vertices) for :func:`random_decomposition`: 1-20 chains, n <= 200."""
+    n_chains = draw(st.integers(1, 20))
+    n = draw(st.integers(n_chains, 200))
+    return draw(st.integers(0, 2**32)), n_chains, n
+
+
+class TestLazyQuiver:
+    @settings(max_examples=40, deadline=None)
+    @given(params=decomposition_params())
+    def test_matches_make_quiver_and_round_trips(self, params):
+        dec = random_decomposition(*params)
+        vertical = [
+            (high, low) for chain in dec.chains for low, high in zip(chain, chain[1:])
+        ]
+        obliques = [(dec.label_of(src), dec.label_of(dst)) for src, dst in dec.obliques]
+        q = underlying_quiver(dec)
+        assert q == make_quiver([v for c in dec.chains for v in c], vertical + obliques)
+        assert dec.vertices() == q.vertices
+        again = decompose_with_chains(q, dec.chains)
+        assert again.chains == dec.chains
+        assert again.obliques == dec.obliques
+        assert underlying_quiver(again) == q
+        assert construct_mgs(again) == construct_mgs(dec)
+
+    def test_construct_never_builds_the_quiver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense quiver was built")
+
+        data = decomposition_to_dict(random_decomposition(11, 8, 80))
+        monkeypatch.setattr(quiver, "make_quiver", refuse)
+        monkeypatch.setattr(Quiver, "__post_init__", refuse)
+        dec = decomposition_from_dict(data)
+        assert len(construct_mgs(dec)) == expected_mgs_length(dec)
+        assert descending_order(dec) and dec.vertices()
 
 
 class TestOrder:
@@ -318,6 +363,12 @@ class TestTwoChain:
         for seed in range(100):
             dec = random_decomposition(40_000 + seed, 2, 11)
             assert two_chain_mgs(dec) == construct_mgs(dec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(2, 60))
+    def test_equals_general_construction_hypothesis(self, seed, n):
+        dec = random_decomposition(seed, 2, n)
+        assert two_chain_mgs(dec) == construct_mgs(dec)
 
     def test_rejects_other_chain_counts(self):
         from greenseq.decomposition import NotTwoChainsError
