@@ -707,14 +707,14 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
         seq = construct_mgs(dec)
     chain_of = {v: dec._layout.chain_of[i] for v, i in dec._index.items()}
     q = underlying_quiver(dec)
-    frozen, m = _framed_rows(q)
+    frozen, rows = _framed_rows(q)
     n = len(q.vertices)
     labels = q.vertices + tuple(frozen)
     problems: list[str] = []
-    for idx, v, k in _replay(m, q.vertices, frozen, seq, Policy.UNCHECKED):
+    for idx, v, k in _replay(rows, q.vertices, frozen, seq, Policy.UNCHECKED):
         # the arrows at v in the framed quiver's vertex order
-        for j in sorted(m[k].nonzero()[0].tolist(), key=labels.__getitem__):
-            w, entry = labels[j], m[k, j]
+        for j, entry in sorted(rows[k].items(), key=lambda item: labels[item[0]]):
+            w = labels[j]
             if j >= n:
                 if entry < 0:
                     problems.append(f"step {idx}: frozen arrow into {v!r} from {w!r}")

@@ -13,13 +13,24 @@ children, so each state is solved once.  Path enumeration, which costs one
 mutation per green sequence, is kept for listing the sequences themselves
 and as the independent cross-check of the counts in the tests.  Both walk
 on an explicit stack, so an infinite green path ends at the budget, never
-in ``RecursionError``.  The node budget counts mutations in every engine.
+in ``RecursionError``.  The node budget counts mutations in every engine;
+a step back along a depth-first path is not counted.
 
-States are deduplicated by the raw bytes of the extended exchange matrix
-[B | C], one row per mutable vertex.  No isomorphism reduction is attempted;
-at the default cap of eight mutable vertices none is needed.  Each move
-copies the state and runs the shared in-place kernel of
-:mod:`greenseq.quiver` on the copy; the colours are read off the C block.
+A state is the extended exchange matrix [B | C] in the sparse form of
+:mod:`greenseq.quiver`, one dict of nonzero entries per mutable vertex,
+together with the overflow flag the shared kernel returned when it made the
+state.  A move copies the list of rows and runs the kernel on the copy, so
+a child is copy-on-write: it shares every row with its parent except row k
+and the rows of k's neighbours.  The depth-first walks keep only the state
+at the end of their path and step back by mutating it again, since
+mutation is an involution.  One pass over the C entries of a state
+gives both its green moves and whether every row is red.  States are
+deduplicated by a flat tuple of all 2n^2 entries of [B | C], zeros
+included, which is about as small as the raw bytes of a dense matrix while
+the entries stay small; the breadth-first frontier keeps a state as that
+tuple alone.  No isomorphism
+reduction is attempted; at the default cap of eight mutable vertices none
+is needed.
 """
 
 from __future__ import annotations
@@ -28,17 +39,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .quiver import (
-    MAX_SAFE_ENTRY,
+    Color,
     MutationSequence,
     Quiver,
     QuiverError,
+    Rows,
     _framed_rows,
-    _green_rows,
     _mutate_rows,
-    _red_rows,
+    _row_color,
+    _unsafe,
 )
 
 DEFAULT_NODE_CAP = 500_000
@@ -60,6 +70,10 @@ class _Budget:
             raise BudgetExceededError(f"search exceeded {self.node_cap} nodes")
 
 
+# the rows of [B | C] and whether an entry has reached the safe bound
+State = tuple[Rows, bool]
+
+
 class _Search:
     """Matrix-level search state shared by the engines."""
 
@@ -68,33 +82,57 @@ class _Search:
             raise BudgetExceededError(
                 f"{len(q.vertices)} mutable vertices exceeds cap {mutable_cap}"
             )
-        self.start = _framed_rows(q)[1]
+        rows = _framed_rows(q)[1]
+        self.start: State = (rows, _unsafe(rows))
         self._labels = q.vertices
         self.budget = _Budget(node_cap)
 
-    def mutate(self, b: np.ndarray, k: int) -> np.ndarray:
+    def mutate(self, state: State, k: int) -> State:
         self.budget.spend()
-        if np.abs(b).max() >= MAX_SAFE_ENTRY:
+        rows, unsafe = state
+        if unsafe:
             # overflow must surface as an error, never as a wrong answer
             raise BudgetExceededError(
                 "arrow multiplicities exceed the safe search range"
             )
-        new = b.copy()
-        _mutate_rows(new, k)
-        return new
+        child = rows.copy()
+        return child, _mutate_rows(child, k)
 
-    def green_moves(self, b: np.ndarray) -> list[int]:
-        return np.flatnonzero(_green_rows(b)).tolist()
+    def colors(self, state: State) -> tuple[list[int], bool]:
+        """The green rows in ascending order, and whether every row is red."""
+        rows = state[0]
+        n = len(rows)
+        green, all_red = [], True
+        for k, row in enumerate(rows):
+            c = _row_color(row, n)
+            if c is Color.GREEN:
+                green.append(k)
+            if c is not Color.RED:
+                all_red = False
+        return green, all_red
 
-    def all_red(self, b: np.ndarray) -> bool:
-        return bool(_red_rows(b).all())
+    def key(self, state: State) -> tuple[int, ...]:
+        """Every entry of the framed [B | C], n x 2n, row by row: equal
+        exactly for equal states."""
+        rows = state[0]
+        width = 2 * len(rows)
+        flat = [0] * (width * len(rows))
+        for i, row in enumerate(rows):
+            base = i * width
+            for j, b in row.items():
+                flat[base + j] = b
+        return tuple(flat)
+
+    def rows(self, key: tuple[int, ...]) -> Rows:
+        """The rows of the state whose :meth:`key` is ``key``."""
+        width = 2 * len(self.start[0])
+        return [
+            {j: b for j, b in enumerate(key[base : base + width]) if b}
+            for base in range(0, len(key), width)
+        ]
 
     def steps(self, path: list[int]) -> list[str]:
         return [self._labels[k] for k in path]
-
-    def state_of(self, key: bytes) -> np.ndarray:
-        """The read-only state whose raw bytes are ``key``."""
-        return np.frombuffer(key, dtype=self.start.dtype).reshape(self.start.shape)
 
 
 def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], bool]]:
@@ -105,39 +143,53 @@ def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], boo
     copies what it keeps.  Each frame makes its next child only when the
     previous child's subtree is exhausted, so mutations happen, and the
     budget is spent, in the order of the yields.
+
+    Only the state at the end of the path is kept.  A step back mutates it
+    again at the path's last vertex, which restores the parent exactly,
+    since mutation is an involution; so a deep path costs one overflow flag
+    and one iterator per state, not one state.
     """
     path: list[int] = []
 
-    def moves(b: np.ndarray) -> Iterator[int]:
+    def visit(state: State) -> tuple[bool, Iterator[int]]:
+        green, all_red = search.colors(state)
         if max_len is not None and len(path) >= max_len:
-            return iter(())
-        return iter(search.green_moves(b))
+            green = []
+        return all_red, iter(green)
 
-    yield path, search.all_red(search.start)
-    stack = [(search.start, moves(search.start))]
+    rows = search.start[0]
+    all_red, moves = visit(search.start)
+    yield path, all_red
+    stack = [(search.start[1], moves)]
     while stack:
-        b, pending = stack[-1]
+        unsafe, pending = stack[-1]
         k = next(pending, None)
         if k is None:
             stack.pop()
             if stack:  # the root frame has no step on the path
-                path.pop()
+                _mutate_rows(rows, path.pop())
             continue
-        child = search.mutate(b, k)
+        child = search.mutate((rows, unsafe), k)
+        rows = child[0]
         path.append(k)
-        yield path, search.all_red(child)
-        stack.append((child, moves(child)))
+        all_red, moves = visit(child)
+        yield path, all_red
+        stack.append((child[1], moves))
 
 
 @dataclass(slots=True)
 class _Frame:
     """One state of the DP walk and the answer folded in from its children.
 
-    The state is kept only as the bytes of its memo key, which halves the
-    memory of a deep stack on an infinite green path.
+    A frame keeps the state's memo key (the flat tuple of its entries and
+    the steps left), its overflow flag and the move that made it, but not
+    its rows, so a deep stack on an infinite green path costs about one
+    key per state.
     """
 
-    key: tuple[bytes, int | None]
+    key: tuple[tuple[int, ...], int | None]
+    unsafe: bool
+    move: int | None
     pending: Iterator[int]
     count: int
     best: int | None
@@ -153,17 +205,22 @@ def _count_dp(search: _Search, max_len: int | None) -> tuple[int, int | None]:
     ``max_len`` (None without a bound), because one state can be reached at
     different depths.  Every child, memo hit or not, is made by
     ``search.mutate``, so the budget and the overflow guard act as in
-    enumeration.
+    enumeration.  As in :func:`_walk`, only the top frame's state is kept,
+    and a finished frame is undone by mutating again at its move.
     """
-    memo: dict[tuple[bytes, int | None], tuple[int, int | None]] = {}
+    memo: dict[tuple[tuple[int, ...], int | None], tuple[int, int | None]] = {}
 
-    def open_frame(b: np.ndarray, key: tuple[bytes, int | None]) -> _Frame:
-        if search.all_red(b):
-            return _Frame(key, iter(()), 1, 0)
-        moves = () if key[1] == 0 else search.green_moves(b)
-        return _Frame(key, iter(moves), 0, None)
+    def open_frame(
+        state: State, key: tuple[tuple[int, ...], int | None], move: int | None
+    ) -> _Frame:
+        green, all_red = search.colors(state)
+        if all_red:
+            return _Frame(key, state[1], move, iter(()), 1, 0)
+        moves = () if key[1] == 0 else green
+        return _Frame(key, state[1], move, iter(moves), 0, None)
 
-    stack = [open_frame(search.start, (search.start.tobytes(), max_len))]
+    rows = search.start[0]
+    stack = [open_frame(search.start, (search.key(search.start), max_len), None)]
     while True:
         top = stack[-1]
         k = next(top.pending, None)
@@ -172,13 +229,15 @@ def _count_dp(search: _Search, max_len: int | None) -> tuple[int, int | None]:
             value = memo[top.key] = (top.count, top.best)
             if not stack:
                 return value
+            _mutate_rows(rows, top.move)  # back to the parent's state
         else:
-            child = search.mutate(search.state_of(top.key[0]), k)
+            child = search.mutate((rows, top.unsafe), k)
             left = None if top.key[1] is None else top.key[1] - 1
-            key = (child.tobytes(), left)
+            key = (search.key(child), left)
             value = memo.get(key)
             if value is None:
-                stack.append(open_frame(child, key))
+                rows = child[0]
+                stack.append(open_frame(child, key, k))
                 continue
         parent = stack[-1]
         count, best = value
@@ -231,7 +290,7 @@ def min_mgs_length(
     """Length of a shortest maximal green sequence, or None when none exists.
 
     The default engine is a breadth-first search with visited-state
-    memoization on canonical matrix bytes; ``engine="dfs"`` runs a
+    memoization on the flat tuple of matrix entries; ``engine="dfs"`` runs a
     memoization-free iterative-deepening search as an independent
     cross-check (it requires ``max_len`` to conclude None).
     """
@@ -244,20 +303,31 @@ def min_mgs_length(
 
 
 def _min_bfs(search: _Search, max_len: int | None) -> int | None:
-    seen = {search.start.tobytes()}
-    frontier: deque[tuple[np.ndarray, int]] = deque([(search.start, 0)])
+    """Breadth-first search for the least depth of an all-red state.
+
+    The frontier keeps a state as its key, which ``seen`` holds anyway, and
+    its overflow flag, and rebuilds the rows when the state is dequeued; a
+    queued state then costs no memory beyond its key.
+    """
+    start = search.key(search.start)
+    seen = {start}
+    frontier: deque[tuple[tuple[int, ...], bool, int]] = deque(
+        [(start, search.start[1], 0)]
+    )
     while frontier:
-        b, depth = frontier.popleft()
-        if search.all_red(b):
+        key, unsafe, depth = frontier.popleft()
+        state = (search.rows(key), unsafe)
+        green, all_red = search.colors(state)
+        if all_red:
             return depth
         if max_len is not None and depth >= max_len:
             continue
-        for k in search.green_moves(b):
-            nxt = search.mutate(b, k)
-            key = nxt.tobytes()
+        for k in green:
+            child = search.mutate(state, k)
+            key = search.key(child)
             if key not in seen:
                 seen.add(key)
-                frontier.append((nxt, depth + 1))
+                frontier.append((key, child[1], depth + 1))
     return None
 
 
@@ -265,15 +335,13 @@ def _min_iddfs(search: _Search, max_len: int | None) -> int | None:
     if max_len is None:
         raise QuiverError("dfs engine needs max_len to be able to answer None")
 
-    def bounded(b: np.ndarray, depth_left: int) -> bool:
-        if search.all_red(b):
+    def bounded(state: State, depth_left: int) -> bool:
+        green, all_red = search.colors(state)
+        if all_red:
             return True
         if depth_left == 0:
             return False
-        return any(
-            bounded(search.mutate(b, k), depth_left - 1)
-            for k in search.green_moves(b)
-        )
+        return any(bounded(search.mutate(state, k), depth_left - 1) for k in green)
 
     for depth in range(max_len + 1):
         if bounded(search.start, depth):

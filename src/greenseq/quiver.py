@@ -10,16 +10,22 @@ no arrows between frozen vertices.
 The public values are immutable; every public operation returns a new value,
 which makes them safe to share across threads or executors.
 
-Underneath, one private kernel (:func:`_mutate_rows`) mutates an int64 array
-in place.  The array has one row per mutable vertex and one column per
-vertex, mutable columns first in row order: the extended exchange matrix
-[B | C], whose C block holds the arrows to the frozen vertices.  For a framed
-quiver C starts as the identity and its rows are the c-vectors.  The frozen
-rows of the full matrix are minus the transpose of C, and the frozen-frozen
-block is zero, so [B | C] is the whole state.  :func:`mutate`, the
-sequence checks, :func:`final_state`, ``decomposition.check_step_shapes``
-and the search oracle all run this kernel; ``graph_rule`` is the one
-independent implementation, kept as a cross-check.
+Underneath, one private kernel (:func:`_mutate_rows`) mutates the extended
+exchange matrix [B | C] in sparse form: a list with one ``dict`` per mutable
+vertex, mapping a column to its nonzero entry, exact Python ints throughout.
+Columns 0..n-1 are the mutable vertices in row order (the B block) and the
+columns after them the frozen vertices (the C block, the arrows to the
+frozen vertices).  For a framed quiver C starts as the identity and its rows
+are the c-vectors.  The frozen rows of the full matrix are minus the
+transpose of C, and the frozen-frozen block is zero, so [B | C] is the whole
+state.  A quiver of the Q^N kind is sparse, so one step costs
+O(deg(k) * nnz(row k)).  The kernel never writes into a row it is given: it
+replaces the rows it changes, so a copy of the list made beforehand keeps
+the old state and shares the untouched rows with the new one.
+:func:`mutate`, the sequence checks, :func:`final_state`,
+``decomposition.check_step_shapes`` and the search oracle all run this
+kernel; ``graph_rule`` is the one independent implementation, kept as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -301,7 +307,10 @@ def coframe(q: Quiver) -> IceQuiver:
     return _assemble(q.vertices, *_framed_rows(q, -1))
 
 
-def _framed_rows(q: Quiver, sign: int = 1) -> tuple[list[Label], np.ndarray]:
+Rows = list[dict[int, int]]
+
+
+def _framed_rows(q: Quiver, sign: int = 1) -> tuple[list[Label], Rows]:
     """The frozen labels v' in vertex order and [B | sign * I] of the framing.
 
     Raises as :func:`frame` does when some v' is already a vertex label or
@@ -313,90 +322,114 @@ def _framed_rows(q: Quiver, sign: int = 1) -> tuple[list[Label], np.ndarray]:
             raise DuplicateVertexError(f"frozen label {f!r} collides with a vertex")
     if not frozen:
         raise QuiverError(_NO_MUTABLE)
-    n = len(frozen)
-    m = np.zeros((n, 2 * n), dtype=np.int64)
-    m[:, :n] = q.matrix
-    np.fill_diagonal(m[:, n:], sign)
-    return frozen, m
+    rows = _sparse(q.matrix)
+    n = len(rows)
+    for i, row in enumerate(rows):
+        row[n + i] = sign
+    return frozen, rows
 
 
-def _rows_of(iq: IceQuiver) -> tuple[tuple[Label, ...], list[Label], np.ndarray]:
-    """The mutable labels, the frozen labels and a writable [B | C] of ``iq``."""
+def _sparse(m: np.ndarray) -> Rows:
+    """One dict per row of ``m``, mapping a column to its nonzero entry."""
+    rows: Rows = [{} for _ in range(len(m))]
+    i, j = np.nonzero(m)
+    for r, c, x in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
+        rows[r][c] = x
+    return rows
+
+
+def _rows_of(iq: IceQuiver) -> tuple[tuple[Label, ...], list[Label], Rows]:
+    """The mutable labels, the frozen labels and the rows of [B | C] of ``iq``."""
     q = iq.quiver
     mutable, frozen = iq.mutable, sorted(iq.frozen)
     rows = [q.index(v) for v in mutable]
     cols = rows + [q.index(f) for f in frozen]
-    return mutable, frozen, q.matrix[np.ix_(rows, cols)]
+    return mutable, frozen, _sparse(q.matrix[np.ix_(rows, cols)])
 
 
-def _assemble(
-    mutable: Sequence[Label], frozen: Sequence[Label], m: np.ndarray
-) -> IceQuiver:
-    """The ice quiver whose [B | C] is ``m``, with rows in ``mutable`` order
-    and C columns in ``frozen`` order.
+def _assemble(mutable: Sequence[Label], frozen: Sequence[Label], rows: Rows) -> IceQuiver:
+    """The ice quiver whose [B | C] is ``rows``, in ``mutable`` order, with C
+    columns in ``frozen`` order.
 
     Frozen rows are minus the transpose of C; the frozen-frozen block is zero.
     """
     order = tuple(sorted((*mutable, *frozen)))
     index = {v: i for i, v in enumerate(order)}
-    rows = [index[v] for v in mutable]
-    cols = [index[f] for f in frozen]
+    at = [index[v] for v in (*mutable, *frozen)]
+    r, c, x = [], [], []
+    for i, row in enumerate(rows):
+        for j, b in row.items():
+            r.append(at[i])
+            c.append(at[j])
+            x.append(b)
     b = np.zeros((len(order), len(order)), dtype=np.int64)
-    b[np.ix_(rows, rows + cols)] = m
-    b[np.ix_(cols, rows)] = -m[:, len(rows) :].T
+    values = np.array(x, dtype=np.int64)
+    b[r, c] = values
+    b[c, r] = -values  # for B this rewrites the same entries
     return IceQuiver._trusted(Quiver._trusted(order, b, index), frozenset(frozen))
 
 
 # multiplicities can grow doubly exponentially under mutation; refusing
-# beyond this bound keeps every int64 intermediate product exact
+# beyond this bound keeps the work of a step small and every entry of an
+# assembled int64 matrix exact
 MAX_SAFE_ENTRY = 2**31
 _UNSAFE = "arrow multiplicities exceed the safe mutation range"
 
 
-def _mutate_rows(m: np.ndarray, k: int) -> bool:
-    """Mutate [B | C] in place at the vertex of row ``k``.
+def _mutate_rows(rows: Rows, k: int) -> bool:
+    """Mutate [B | C] at the vertex of row ``k``, replacing the changed rows.
 
-    Row k and column k change sign.  Of the other rows only those of k's
-    neighbours change: row i gains b_ik * max(row_k, 0) when b_ik > 0 and
-    loses b_ik * min(row_k, 0) when b_ik < 0.  That is the rule
-    b_ij + sign(b_ik) * max(b_ik * b_kj, 0) on the mutable rows, in
-    O(deg(k) * columns) work.  Returns True when a changed entry has reached
-    MAX_SAFE_ENTRY, so that mutating the result again could overflow.
+    Row k and column k change sign; column k is read from row k, since
+    b_ik = -b_ki.  Of the other rows only those of k's neighbours change:
+    b_ij gains |b_ik| * b_kj where b_kj has the sign of b_ik.  That is the
+    rule b_ij + sign(b_ik) * max(b_ik * b_kj, 0), in O(deg(k) * nnz(row k))
+    work.  Changed rows are replaced by new dicts and no dict of the input
+    is written, so a copy of ``rows`` made beforehand keeps the old state.
+    Returns True when a changed entry has reached MAX_SAFE_ENTRY, so that
+    mutating the result again could overflow.
     """
-    row, col = m[k], m[:, k]
-    pos, neg = np.maximum(row, 0), np.minimum(row, 0)
-    touched = col.nonzero()[0]
-    for i, b_ik in zip(touched.tolist(), col[touched].tolist()):
-        if b_ik > 0:
-            m[i] += b_ik * pos
-        else:
-            m[i] -= b_ik * neg
-    # not np.negative(col, out=col): NumPy 2.4 reads a strided int64 view
-    # as if it were contiguous there
-    col *= -1
-    row *= -1
-    return bool(touched.size) and bool(np.abs(m[touched]).max() >= MAX_SAFE_ENTRY)
+    row, n = rows[k], len(rows)
+    pos = [(j, b) for j, b in row.items() if b > 0]
+    neg = [(j, b) for j, b in row.items() if b < 0]
+    unsafe = False
+    for i, b_ki in row.items():
+        if i >= n:
+            continue
+        new = rows[i].copy()
+        new[k] = b_ki
+        a, part = (-b_ki, pos) if b_ki < 0 else (b_ki, neg)
+        for j, b_kj in part:
+            b_ij = new.get(j, 0) + a * b_kj
+            if b_ij:
+                new[j] = b_ij
+                if not -MAX_SAFE_ENTRY < b_ij < MAX_SAFE_ENTRY:
+                    unsafe = True
+            else:
+                del new[j]
+        rows[i] = new
+    rows[k] = {j: -b for j, b in row.items()}
+    return unsafe
 
 
-def _row_color(c: np.ndarray) -> Color | None:
-    """Colour of a C-row: GREEN when no entry is negative and one is positive,
-    RED for the mirror case, None when the row is zero or of mixed sign."""
-    pos, neg = c.max(initial=0) > 0, c.min(initial=0) < 0
+def _unsafe(rows: Rows) -> bool:
+    """Whether some entry of [B | C] has reached MAX_SAFE_ENTRY."""
+    return any(abs(b) >= MAX_SAFE_ENTRY for row in rows for b in row.values())
+
+
+def _row_color(row: dict[int, int], n: int) -> Color | None:
+    """Colour of a row from its entries in columns n and up (its C part):
+    GREEN when none is negative and one is positive, RED for the mirror
+    case, None when they are all zero or of mixed sign."""
+    pos = neg = False
+    for j, b in row.items():
+        if j >= n:
+            if b > 0:
+                pos = True
+            elif b < 0:
+                neg = True
     if pos == neg:
         return None
     return Color.GREEN if pos else Color.RED
-
-
-def _green_rows(m: np.ndarray) -> np.ndarray:
-    """Mask of the green rows of [B | C]."""
-    c = m[:, len(m) :]
-    return (c >= 0).all(axis=1) & (c > 0).any(axis=1)
-
-
-def _red_rows(m: np.ndarray) -> np.ndarray:
-    """Mask of the red rows of [B | C]."""
-    c = m[:, len(m) :]
-    return (c <= 0).all(axis=1) & (c < 0).any(axis=1)
 
 
 def mutate(iq: IceQuiver, k: Label) -> IceQuiver:
@@ -410,11 +443,11 @@ def mutate(iq: IceQuiver, k: Label) -> IceQuiver:
     iq.quiver.index(k)
     if k in iq.frozen:
         raise FrozenVertexMutationError(f"cannot mutate frozen vertex {k!r}")
-    mutable, frozen, m = _rows_of(iq)
-    if np.abs(m).max(initial=0) >= MAX_SAFE_ENTRY:
+    mutable, frozen, rows = _rows_of(iq)
+    if _unsafe(rows):
         raise QuiverError(_UNSAFE)
-    _mutate_rows(m, mutable.index(k))
-    return _assemble(mutable, frozen, m)
+    _mutate_rows(rows, mutable.index(k))
+    return _assemble(mutable, frozen, rows)
 
 
 def color(iq: IceQuiver, v: Label) -> Color:
@@ -428,9 +461,9 @@ def color(iq: IceQuiver, v: Label) -> Color:
     if v in iq.frozen:
         raise QuiverError(f"color is defined for mutable vertices only: {v!r}")
     q = iq.quiver
-    row = q.matrix[q.index(v), [q.index(f) for f in iq.frozen]]
-    c = _row_color(row)
-    if c is None and not row.any():
+    row = q.matrix[q.index(v), [q.index(f) for f in iq.frozen]].tolist()
+    c = _row_color(dict(enumerate(row)), 0)
+    if c is None and not any(row):
         raise ZeroRowError(f"vertex {v!r} has no arrows to frozen vertices")
     if c is None:
         raise NotSignCoherentError(f"vertex {v!r} has mixed frozen arrow signs")
@@ -534,43 +567,43 @@ def apply_sequence(
 
 
 def _replay(
-    m: np.ndarray,
+    rows: Rows,
     mutable: Sequence[Label],
     frozen: Iterable[Label],
     seq: MutationSequence,
     policy: Policy,
 ) -> Iterator[tuple[int, Label, int]]:
-    """Run ``seq`` through the kernel on [B | C] in place, one step at a time.
+    """Run ``seq`` through the kernel on the rows of [B | C], one step at a time.
 
-    ``mutable`` labels the rows of ``m`` and ``frozen`` is the frozen label
-    set.  Yields (step index, vertex, row) before each mutation, so a caller
-    can read the state the step starts from.  Raises what
-    :func:`apply_sequence` raises, at the same step; no state is kept.
+    ``mutable`` labels the rows and ``frozen`` is the frozen label set.
+    Yields (step index, vertex, row) before each mutation, so a caller can
+    read the state the step starts from.  Raises what :func:`apply_sequence`
+    raises, at the same step; no state is kept.
     """
-    rows = {v: i for i, v in enumerate(mutable)}
+    index = {v: i for i, v in enumerate(mutable)}
     frozen = frozenset(frozen)
-    n = len(m)
-    unsafe = bool(np.abs(m).max(initial=0) >= MAX_SAFE_ENTRY)
+    n = len(rows)
+    unsafe = _unsafe(rows)
     for idx, v in enumerate(seq):
         if v in frozen:
             raise FrozenVertexMutationError(f"step {idx} mutates frozen vertex {v!r}")
-        k = rows.get(v)
+        k = index.get(v)
         if k is None:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-        if policy is Policy.REQUIRE_GREEN and _row_color(m[k, n:]) is not Color.GREEN:
+        if policy is Policy.REQUIRE_GREEN and _row_color(rows[k], n) is not Color.GREEN:
             raise NotGreenAtStepError(idx, v)
         yield idx, v, k
         if unsafe:
             raise QuiverError(_UNSAFE)
-        unsafe = _mutate_rows(m, k)
+        unsafe = _mutate_rows(rows, k)
 
 
 def final_state(iq: IceQuiver, seq: Steps) -> IceQuiver:
     """``apply_sequence(iq, seq).final``, keeping no intermediate state."""
-    mutable, frozen, m = _rows_of(iq)
-    for _ in _replay(m, mutable, frozen, as_sequence(seq), Policy.UNCHECKED):
+    mutable, frozen, rows = _rows_of(iq)
+    for _ in _replay(rows, mutable, frozen, as_sequence(seq), Policy.UNCHECKED):
         pass
-    return _assemble(mutable, frozen, m)
+    return _assemble(mutable, frozen, rows)
 
 
 @dataclass(frozen=True)
@@ -590,24 +623,24 @@ class Verdict:
 STILL_GREEN = "vertex still green"
 
 
-def _green_run(q: Quiver, seq: Steps) -> tuple[Verdict, np.ndarray | None]:
+def _green_run(q: Quiver, seq: Steps) -> tuple[Verdict, Rows | None]:
     """Stream ``seq`` from the framed quiver, checking that every step is green.
 
-    Returns the verdict and, when it holds, the final [B | C].
+    Returns the verdict and, when it holds, the rows of the final [B | C].
     """
     try:
         sequence = as_sequence(seq)
     except ConsecutiveRepeatError as err:
         return Verdict(False, f"malformed sequence: {err}"), None
     try:
-        frozen, m = _framed_rows(q)
-        for _ in _replay(m, q.vertices, frozen, sequence, Policy.REQUIRE_GREEN):
+        frozen, rows = _framed_rows(q)
+        for _ in _replay(rows, q.vertices, frozen, sequence, Policy.REQUIRE_GREEN):
             pass
     except NotGreenAtStepError as err:
         return Verdict(False, "vertex not green", err.index, err.vertex), None
     except QuiverError as err:
         return Verdict(False, str(err)), None
-    return Verdict(True), m
+    return Verdict(True), rows
 
 
 def is_green_sequence(q: Quiver, seq: Steps) -> Verdict:
@@ -617,12 +650,13 @@ def is_green_sequence(q: Quiver, seq: Steps) -> Verdict:
 
 def is_maximal_green_sequence(q: Quiver, seq: Steps) -> Verdict:
     """True iff green sequence and every mutable vertex is red afterwards."""
-    verdict, m = _green_run(q, seq)
+    verdict, rows = _green_run(q, seq)
     if not verdict:
         return verdict
-    red = _red_rows(m)
-    if not red.all():
-        return Verdict(False, STILL_GREEN, None, q.vertices[int(np.argmin(red))])
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if _row_color(row, n) is not Color.RED:
+            return Verdict(False, STILL_GREEN, None, q.vertices[i])
     return Verdict(True)
 
 

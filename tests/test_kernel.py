@@ -1,4 +1,4 @@
-"""The shared in-place mutation kernel, checked against independent references.
+"""The shared sparse mutation kernel, checked against independent references.
 
 Streamed verification is compared with a step-by-step replay through the
 arrow-multiset graph rule, written here without the kernel; ``mutate``,
@@ -24,8 +24,15 @@ from greenseq.decomposition import (
 )
 from greenseq.families import linear_a
 from greenseq.graph_rule import arrows_of, mutate_by_graph_rule
-from greenseq.oracle import count_mgs, min_mgs_length
+from greenseq.oracle import (
+    BudgetExceededError,
+    count_mgs,
+    enumerate_green_sequences,
+    min_mgs_length,
+)
 from greenseq.quiver import (
+    MAX_SAFE_ENTRY,
+    Color,
     ConsecutiveRepeatError,
     IceQuiver,
     MutationSequence,
@@ -33,6 +40,7 @@ from greenseq.quiver import (
     QuiverError,
     Verdict,
     apply_sequence,
+    color,
     final_state,
     frame,
     is_green_sequence,
@@ -246,6 +254,32 @@ class TestBounds:
         assert is_maximal_green_sequence(self.KRONECKER_3, steps) == unsafe
         assert is_green_sequence(self.KRONECKER_3, ["2", "1"] * 10)
 
+    # an arrow of multiplicity 2**31 makes the start state itself unsafe;
+    # on the 3-Kronecker quiver the breadth-first and iterative-deepening
+    # minimum finds the length-2 MGS before the infinite path gets large
+    HUGE = make_quiver(["1", "2"], [("1", "2", 2**31)])
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: count_mgs(TestBounds.KRONECKER_3, node_cap=10**4),
+            lambda: list(enumerate_green_sequences(TestBounds.KRONECKER_3, node_cap=10**4)),
+            lambda: count_mgs(TestBounds.HUGE, node_cap=10**4),
+            lambda: min_mgs_length(TestBounds.HUGE, node_cap=10**4),
+            lambda: min_mgs_length(TestBounds.HUGE, max_len=100, node_cap=10**4, engine="dfs"),
+        ],
+        ids=["count", "enumerate", "count-start", "min-bfs-start", "min-dfs-start"],
+    )
+    def test_oracle_overflow_guard(self, search):
+        # the guard, not the node cap, ends the search
+        with pytest.raises(BudgetExceededError, match="safe search range"):
+            search()
+
+    def test_mutate_refuses_an_unsafe_frozen_entry(self):
+        q = make_quiver(["1", "2", "f"], [("1", "2"), ("1", "f", 2**31), ("f", "2")])
+        with pytest.raises(QuiverError, match="exceed the safe mutation range"):
+            mutate(IceQuiver(q, frozenset(["f"])), "2")
+
     def test_n800_verification_memory(self):
         dec = random_decomposition(5, 80, 800)
         q, seq = underlying_quiver(dec), construct_mgs(dec)
@@ -257,3 +291,53 @@ class TestBounds:
             tracemalloc.stop()
         assert verdict == Verdict(True)
         assert peak < 50 * 2**20
+
+
+@st.composite
+def green_runs(draw):
+    """A quiver on 1-6 vertices with multiplicities up to 2, and a random
+    green run of up to 8 steps from its framing.
+
+    The run stops early where no vertex is green, or where an entry has
+    reached MAX_SAFE_ENTRY: a few green steps can get there.
+    """
+    n = draw(st.integers(1, 6))
+    labels = tuple(f"v{i}" for i in range(n))
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    q = Quiver(labels, b)
+    steps: list[str] = []
+    for pick in draw(st.lists(st.integers(0, 5), max_size=8)):
+        state = final_state(frame(q), steps)
+        if np.abs(state.quiver.matrix).max() >= MAX_SAFE_ENTRY:
+            break  # the next step would be refused
+        green = [v for v in state.mutable if color(state, v) is Color.GREEN]
+        if not green:
+            break
+        steps.append(green[pick % len(green)])
+    return q, steps
+
+
+@FEW
+@given(green_runs())
+def test_c_rows_are_sign_coherent_and_determine_b(run):
+    """Along a green run every c-vector is sign-coherent, and B = C B0 C^T.
+
+    The second identity is tropical duality (Nakanishi-Zelevinsky) with the
+    c-vectors as the rows of C.  Both are read off the public states.
+    """
+    q, steps = run
+    b0 = q.matrix.astype(object)
+    for end in range(len(steps) + 1):
+        state = final_state(frame(q), steps[:end])
+        m = state.quiver.matrix.astype(object)
+        rows = [state.quiver.index(v) for v in q.vertices]
+        frozen = [state.quiver.index(v + "'") for v in q.vertices]
+        b, c = m[np.ix_(rows, rows)], m[np.ix_(rows, frozen)]
+        for row in c:
+            assert (row >= 0).all() or (row <= 0).all()
+            assert row.any()
+        assert (c.dot(b0).dot(c.T) == b).all()
