@@ -18,6 +18,7 @@ B = diag(d) @ C is symmetric and max d equals 1 for the simply laced types,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,13 @@ class CartanData:
     def max_symmetrizer(self) -> int:
         return max(self.symmetrizer)
 
+    @cached_property
+    def _table(self) -> list[list[int]]:
+        return self.symmetrized.tolist()
+
     def b(self, i: int, j: int) -> int:
         """Entry of the symmetrized matrix, 1-based node indices."""
-        return int(self.symmetrized[i - 1, j - 1])
+        return self._table[i - 1][j - 1]
 
     def d(self, i: int) -> int:
         return self.symmetrizer[i - 1]

@@ -4,7 +4,9 @@ A block is a maximal biconnected piece of the underlying undirected graph:
 either a single arrow (a bridge) or three or more vertices any two of which
 lie on a common simple cycle.  Every simple cycle lies inside one block, and
 a block is an induced subgraph, so the family recognizers read their
-conditions off the blocks in linear time instead of listing cycles.
+conditions off the blocks in linear time instead of listing cycles.  The
+blocks are computed once per quiver and stored on it, so the recognizers
+that ``families.auto_decompose`` runs in turn share one pass.
 
 Every simple cycle is oriented and every arrow lies on one exactly when
 every block is a single oriented cycle: two cycles sharing an arrow span a
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .decomposition import ChainDecomposition, decompose_with_chains
 from .quiver import Label, Quiver
 
@@ -29,45 +29,10 @@ def blocks(q: Quiver) -> list[tuple[Label, ...]]:
     """Biconnected blocks of the underlying graph, sorted by (size, vertices).
 
     Each block is a sorted vertex tuple; an isolated vertex is in no block.
-    One iterative depth-first search (Hopcroft–Tarjan) keeps each vertex's
-    discovery time and low point.  When a child's subtree reaches no higher
-    than its parent, the vertices stacked since the child and the parent
-    form a block.
+    One linear Hopcroft–Tarjan pass computes them the first time they are
+    asked for; the quiver stores them, and each call returns a fresh list.
     """
-    adjacency = [np.flatnonzero(row).tolist() for row in q.matrix]
-    disc = [-1] * len(adjacency)
-    low = [0] * len(adjacency)
-    clock = 0
-    found = []
-    for root in range(len(adjacency)):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack = [root]
-        work = [(root, iter(adjacency[root]))]
-        while work:
-            v, rest = work[-1]
-            for w in rest:
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append(w)
-                    work.append((w, iter(adjacency[w])))
-                    break
-                low[v] = min(low[v], disc[w])
-            else:
-                work.pop()
-                if not work:
-                    continue
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    block = [parent]
-                    while block[-1] != v:
-                        block.append(stack.pop())
-                    found.append(tuple(q.vertices[i] for i in sorted(block)))
-    return sorted(found, key=lambda b: (len(b), b))
+    return list(q._blocks)
 
 
 def oriented_cycle(q: Quiver, vertices: Iterable[Label]) -> tuple[Label, ...] | None:

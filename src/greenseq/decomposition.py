@@ -346,16 +346,11 @@ def _zigzag_violation(pair: tuple[int, int], arrows: list[Oblique]) -> Violation
             "oblique-zigzag",
             f"chains {pair}: obliques split into several paths",
         )
+    # from the source, with every in-degree at most 1, the walk never
+    # revisits a vertex; a cycle apart from the path leaves nodes unvisited
     path = [sources[0]]
     while path[-1] in outgoing:
-        nxt = outgoing[path[-1]]
-        if nxt in path:
-            return Violation(
-                "non-alternating-path",
-                "oblique-zigzag",
-                f"chains {pair}: obliques close a cycle",
-            )
-        path.append(nxt)
+        path.append(outgoing[path[-1]])
     if len(path) != len(nodes):
         return Violation(
             "multiple-paths-between-chains",
@@ -434,12 +429,8 @@ def decompose_with_chains(
         for i, chain in enumerate(chains)
         for l, v in enumerate(chain)
     }
-    names = q.vertices
-    rows, cols = np.nonzero(q.matrix > 0)
     obliques = [
-        (cv_of[names[i]], cv_of[names[j]])
-        for i, j in zip(rows.tolist(), cols.tolist())
-        if (names[i], names[j]) not in vertical
+        (cv_of[u], cv_of[v]) for u, v, _ in q.arrows() if (u, v) not in vertical
     ]
     violations = validate_chains(chains, obliques)
     if violations:

@@ -8,7 +8,10 @@ arrows.  An ice quiver additionally distinguishes a frozen vertex subset with
 no arrows between frozen vertices.
 
 The public values are immutable; every public operation returns a new value,
-which makes them safe to share across threads or executors.
+which makes them safe to share across threads or executors.  So a quiver
+reads its arrows off the matrix once, on first use, into int adjacency
+lists that ``arrows``, the neighbour accessors, ``is_connected`` and the
+biconnected blocks (``cycles.blocks``) share, and keeps the blocks too.
 
 Underneath, one private kernel (:func:`_mutate_rows`) mutates the extended
 exchange matrix [B | C] in sparse form: a list with one ``dict`` per mutable
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -109,6 +113,20 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Adjacency(NamedTuple):
+    """A quiver's arrows and neighbours, by vertex index.
+
+    ``arrows`` lists (source, target, multiplicity) in row-major order,
+    which is sorted; ``outs``, ``ins`` and ``nbrs`` hold each vertex's
+    ascending out-, in- and undirected neighbour indices.
+    """
+
+    arrows: list[tuple[int, int, int]]
+    outs: list[list[int]]
+    ins: list[list[int]]
+    nbrs: list[list[int]]
+
+
 @dataclass(frozen=True, eq=False)
 class Quiver:
     """Finite quiver without loops or 2-cycles, in exchange-matrix form.
@@ -174,35 +192,91 @@ class Quiver:
     def b(self, u: Label, v: Label) -> int:
         return int(self.matrix[self.index(u), self.index(v)])
 
+    @cached_property
+    def _adjacency(self) -> _Adjacency:
+        """The arrows and the neighbour indices of each vertex.
+
+        The one place arrows and neighbours are read off the matrix: one
+        pass, on first use.  The matrix is read-only, so the lists never go
+        stale; callers must not change them.
+        """
+        n = len(self.vertices)
+        outs: list[list[int]] = [[] for _ in range(n)]
+        ins: list[list[int]] = [[] for _ in range(n)]
+        rows, cols = np.nonzero(self.matrix > 0)
+        arrows = list(zip(rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist()))
+        for i, j, _ in arrows:
+            outs[i].append(j)
+            ins[j].append(i)
+        return _Adjacency(arrows, outs, ins, [sorted(o + i) for o, i in zip(outs, ins)])
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[Label, ...], ...]:
+        """Biconnected blocks of the underlying graph, sorted by (size, vertices).
+
+        Each block is a sorted vertex tuple; an isolated vertex is in no block.
+        One iterative depth-first search (Hopcroft–Tarjan) keeps each vertex's
+        discovery time and low point.  When a child's subtree reaches no higher
+        than its parent, the vertices stacked since the child and the parent
+        form a block.  Computed on first use, like the adjacency it reads.
+        """
+        adjacency = self._adjacency.nbrs
+        disc = [-1] * len(adjacency)
+        low = [0] * len(adjacency)
+        clock = 0
+        found = []
+        for root in range(len(adjacency)):
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = clock
+            clock += 1
+            stack = [root]
+            work = [(root, iter(adjacency[root]))]
+            while work:
+                v, rest = work[-1]
+                for w in rest:
+                    if disc[w] < 0:
+                        disc[w] = low[w] = clock
+                        clock += 1
+                        stack.append(w)
+                        work.append((w, iter(adjacency[w])))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    work.pop()
+                    if not work:
+                        continue
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        block = [parent]
+                        while block[-1] != v:
+                            block.append(stack.pop())
+                        found.append(tuple(self.vertices[i] for i in sorted(block)))
+        return tuple(sorted(found, key=lambda b: (len(b), b)))
+
+    def _labels(self, indices: list[int]) -> list[Label]:
+        return [self.vertices[j] for j in indices]
+
     def arrows(self) -> list[tuple[Label, Label, int]]:
         """All arrows as (source, target, multiplicity), sorted."""
-        out = []
-        for i, u in enumerate(self.vertices):
-            row = self.matrix[i]
-            for j in np.nonzero(row > 0)[0]:
-                out.append((u, self.vertices[j], int(row[j])))
-        return sorted(out)
+        names = self.vertices
+        return [(names[i], names[j], m) for i, j, m in self._adjacency.arrows]
 
     def out_neighbors(self, v: Label) -> list[Label]:
-        i = self.index(v)
-        return [self.vertices[j] for j in np.nonzero(self.matrix[i] > 0)[0]]
+        return self._labels(self._adjacency.outs[self.index(v)])
 
     def in_neighbors(self, v: Label) -> list[Label]:
-        i = self.index(v)
-        return [self.vertices[j] for j in np.nonzero(self.matrix[i] < 0)[0]]
+        return self._labels(self._adjacency.ins[self.index(v)])
 
     def neighbors(self, v: Label) -> list[Label]:
-        i = self.index(v)
-        return [self.vertices[j] for j in np.nonzero(self.matrix[i] != 0)[0]]
+        return self._labels(self._adjacency.nbrs[self.index(v)])
 
     def is_connected(self) -> bool:
         n = len(self.vertices)
         if not n:
             return True
-        adjacent: list[list[int]] = [[] for _ in range(n)]
-        rows, cols = np.nonzero(self.matrix)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            adjacent[i].append(j)
+        adjacent = self._adjacency.nbrs
         seen = [False] * n
         seen[0] = True
         stack = [0]

@@ -46,6 +46,8 @@ def triangles(q: Quiver) -> list[Triangle]:
     They are its triangle blocks and all of its cycles.  Raises NotTypeAError
     naming the failed condition when ``q`` is not mutation-equivalent to type A.
     """
+    if not q.vertices:
+        raise NotTypeAError("no vertices")
     if not q.is_connected():
         raise NotTypeAError("not connected")
     if (q.matrix > 1).any():

@@ -118,6 +118,11 @@ class TestMgs:
         write_quiver(qfile, _non_oriented_square())
         assert run(capsys, "mgs", str(qfile))[0] == 2
 
+    def test_empty_quiver_no_decomposition(self, capsys, tmp_path):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"vertices": [], "arrows": []}))
+        assert run(capsys, "mgs", str(qfile))[0] == 2
+
     def test_invalid_decomposition_file_reports_violations(self, capsys, tmp_path):
         qfile = tmp_path / "q.json"
         dfile = tmp_path / "d.json"

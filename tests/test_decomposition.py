@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,14 @@ class TestBuildAndValidate:
         chains = [["a1", "a2", "a3"], ["b1", "b2", "b3"]]
         with pytest.raises(MultiplePathsBetweenChainsError):
             build_decomposition(chains, [("a1", "b1"), ("a3", "b3")])
+
+    def test_cyclic_zigzag_rejected(self):
+        # a closed zigzag has no source to start the path from
+        chains = [["a1", "a2", "a3"], ["b1", "b2", "b3"]]
+        with pytest.raises(MultiplePathsBetweenChainsError):
+            build_decomposition(
+                chains, [("a1", "b1"), ("b1", "a2"), ("a2", "b2"), ("b2", "a1")]
+            )
 
     def test_triangle_adjacency_rejected(self):
         chains = [["a"], ["b"], ["c"]]
@@ -341,6 +350,26 @@ class TestConstructMgs:
             for chain in dec.chains:
                 single = build_decomposition([chain])
                 assert restrict_sequence(seq, chain) == construct_mgs(single)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_chains=st.integers(1, 6),
+        n=st.integers(1, 12),
+    )
+    def test_final_state_is_a_permutation_of_the_start(self, seed, n_chains, n):
+        """Brüstle–Dupont–Pérotin: after an MGS, C = -P for a permutation
+        matrix P and B = P B0 P^T."""
+        dec = random_decomposition(seed, min(n_chains, n), n)
+        q = underlying_quiver(dec)
+        state = quiver.final_state(quiver.frame(q), construct_mgs(dec)).quiver
+        rows = [state.index(v) for v in q.vertices]
+        frozen = [state.index(v + "'") for v in q.vertices]
+        b = state.matrix[np.ix_(rows, rows)]
+        p = -state.matrix[np.ix_(rows, frozen)]
+        assert ((p == 0) | (p == 1)).all()
+        assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
+        assert (b == p @ q.matrix @ p.T).all()
 
     def test_strict_prefix_green_but_not_maximal(self):
         dec = random_decomposition(77, 3, 9)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ice_quiver
+from greenseq.cycles import blocks
 from greenseq.quiver import (
     Color,
     ConsecutiveRepeatAfterRestrictionError,
@@ -323,3 +327,51 @@ class TestSubquiverAndRestriction:
         seq = MutationSequence(("1", "2", "1"))
         with pytest.raises(ConsecutiveRepeatAfterRestrictionError):
             restrict_sequence(seq, ["1"])
+
+
+@st.composite
+def quivers_three_ways(draw):
+    """A quiver on 0-8 vertices with multiplicities up to 2, built by the
+    checked constructor, by ``Quiver._trusted``, or as a full subquiver."""
+    n = draw(st.integers(0, 8))
+    labels = tuple(f"v{i}" for i in range(n))
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    how = draw(st.sampled_from(["checked", "trusted", "subquiver"]))
+    if how == "trusted":
+        return Quiver._trusted(labels, b, {v: i for i, v in enumerate(labels)})
+    q = Quiver(labels, b)
+    if how == "subquiver":
+        return full_subquiver(q, draw(st.sets(st.sampled_from(labels))) if n else ())
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(quivers_three_ways())
+def test_adjacency_reads_the_matrix(q):
+    """The cached adjacency agrees with a direct reading of the matrix, and
+    the stored blocks cannot be changed through a returned list."""
+    m, names = q.matrix.tolist(), q.vertices
+    n = len(names)
+    for i, v in enumerate(names):
+        assert q.out_neighbors(v) == [names[j] for j in range(n) if m[i][j] > 0]
+        assert q.in_neighbors(v) == [names[j] for j in range(n) if m[i][j] < 0]
+        assert q.neighbors(v) == [names[j] for j in range(n) if m[i][j] != 0]
+    assert q.arrows() == sorted(
+        (names[i], names[j], m[i][j]) for i in range(n) for j in range(n) if m[i][j] > 0
+    )
+    reached, stack = set(), [0] if n else []
+    while stack:
+        i = stack.pop()
+        if i not in reached:
+            reached.add(i)
+            stack.extend(j for j in range(n) if m[i][j])
+    assert q.is_connected() == (len(reached) == n)
+    first = blocks(q)
+    kept = list(first)
+    first.append(("junk",))
+    assert blocks(q) == kept
+    assert q == Quiver(names, q.matrix) and hash(q) == hash(Quiver(names, q.matrix))

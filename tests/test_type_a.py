@@ -15,7 +15,7 @@ from greenseq.decomposition import (
 from greenseq.families import linear_a
 from greenseq.fixtures import fig8_quiver, type_a_samples
 from greenseq.oracle import min_mgs_length
-from greenseq.quiver import is_maximal_green_sequence, make_quiver
+from greenseq.quiver import Verdict, is_maximal_green_sequence, make_quiver
 from greenseq.type_a import (
     NotTypeAError,
     PinnedNotConnectingError,
@@ -46,6 +46,12 @@ class TestRecognizer:
         verdict = is_type_a(q)
         assert not verdict
         assert "oriented" in verdict.reason
+
+    def test_empty_quiver_rejected(self):
+        empty = make_quiver([], [])
+        assert is_type_a(empty) == Verdict(False, "no vertices")
+        with pytest.raises(NotTypeAError, match="no vertices"):
+            type_a_decompose(empty)
 
     def test_long_cycle_rejected(self):
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])

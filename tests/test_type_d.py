@@ -149,6 +149,9 @@ class TestDecomposition:
             assert tag == "mu_d"
             assert is_maximal_green_sequence(q, construct_mgs(dec))
 
+    def test_auto_decompose_empty_quiver_is_none(self):
+        assert auto_decompose(make_quiver([], [])) is None
+
     def test_auto_decompose_other_families(self):
         assert auto_decompose(fig8_quiver())[0] == "mu_a"
         assert auto_decompose(fig7_quiver())[0] == "oriented_cycles"
