@@ -154,6 +154,45 @@ class TestDecompose:
         with pytest.raises(InconsistentLabelsError):
             hl_decompose(q, b2_cartan())
 
+    # an A2 window (1,0) -> (1,2) -> (2,1) -> (1,0), (2,1) -> (2,3) -> (1,2)
+    A2_WINDOW = [(1, 0), (1, 2), (2, 1), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "relabel, extra_vertices, edit",
+        [
+            ({"(1,0)": "(1, 0)"}, [], None),
+            ({}, ["(1, 0)"], None),
+            ({}, ["(3,0)"], None),
+            ({}, [], ("double", ("(1,0)", "(1,2)"))),
+            ({}, [], ("add", ("(1,0)", "(2,3)"))),
+            ({}, [], ("drop", ("(2,1)", "(2,3)"))),
+        ],
+        ids=[
+            "non-canonical-label",
+            "two-labels-one-vertex",
+            "node-above-rank",
+            "rule-arrow-doubled",
+            "extra-arrow",
+            "missing-arrow",
+        ],
+    )
+    def test_rejections_raise_inconsistent_labels(self, relabel, extra_vertices, edit):
+        cartan = cartan_data("A", 2)
+        base = hl_quiver(cartan, self.A2_WINDOW)
+        name = lambda v: relabel.get(v, v)
+        arrows = [(name(u), name(v), m) for u, v, m in base.arrows()]
+        if edit is not None:
+            how, (u, v) = edit
+            if how == "double":
+                arrows = [(a, b, 2 if (a, b) == (u, v) else m) for a, b, m in arrows]
+            elif how == "add":
+                arrows.append((u, v, 1))
+            else:
+                arrows = [a for a in arrows if a[:2] != (u, v)]
+        q = make_quiver([name(v) for v in base.vertices] + extra_vertices, arrows)
+        with pytest.raises(InconsistentLabelsError):
+            hl_decompose(q, cartan)
+
     def test_round_trip_underlying(self):
         dec = hl_decompose(fig4_quiver(), b2_cartan())
         assert underlying_quiver(dec) == fig4_quiver()

@@ -15,10 +15,12 @@ from greenseq.decomposition import (
     ChainVertex,
     DisconnectedError,
     MultiplePathsBetweenChainsError,
+    NonAlternatingPathError,
     NonIncreasingPositionsError,
     ObliqueWithinChainError,
     OrderCycleDetectedError,
     OrderRelation,
+    ValidationFailedError,
     associated_sequence,
     build_decomposition,
     check_step_shapes,
@@ -129,6 +131,76 @@ class TestBuildAndValidate:
             report = validate_chains(dec.chains, obliques)
             for violation in report:
                 assert violation.code and violation.clause and violation.message
+
+    # (chains, obliques as (chain, position) pairs, typed error of the first
+    # violation, whether the case can be written as a quiver)
+    ONE_CASE_PER_CODE = {
+        "duplicate-vertex": ([["a1", "a2"], ["a1"]], [], ValidationFailedError, False),
+        "unknown-vertex": ([["a1"], ["b1"]], [((1, 1), (3, 1))], ValidationFailedError, False),
+        "oblique-within-chain": (
+            [["a1", "a2", "a3"], ["b1"]],
+            [((1, 1), (1, 3)), ((1, 1), (2, 1))],
+            ObliqueWithinChainError,
+            True,
+        ),
+        "two-obliques-leave": (
+            [["a1", "a2"], ["b1", "b2"]],
+            [((1, 1), (2, 1)), ((1, 1), (2, 2))],
+            NonAlternatingPathError,
+            True,
+        ),
+        "two-obliques-enter": (
+            [["a1", "a2"], ["b1", "b2"]],
+            [((1, 1), (2, 1)), ((1, 2), (2, 1))],
+            NonAlternatingPathError,
+            True,
+        ),
+        "split-paths": (
+            [["a1", "a2"], ["b1", "b2"]],
+            [((1, 1), (2, 1)), ((1, 2), (2, 2))],
+            MultiplePathsBetweenChainsError,
+            True,
+        ),
+        "non-increasing-positions": (
+            [["a1", "a2"], ["b1", "b2"]],
+            [((1, 2), (2, 1)), ((2, 1), (1, 1))],
+            NonIncreasingPositionsError,
+            True,
+        ),
+        "chain-graph-cycle": (
+            [["a"], ["b"], ["c"]],
+            [((1, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 1), (1, 1))],
+            ChainGraphCycleError,
+            True,
+        ),
+        "disconnected": ([["a"], ["b"]], [], DisconnectedError, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_CASE_PER_CODE))
+    def test_one_checker_three_entry_points(self, case):
+        chains, pairs, error, as_quiver = self.ONE_CASE_PER_CODE[case]
+        obliques = [(ChainVertex(*s), ChainVertex(*d)) for s, d in pairs]
+        report = validate_chains(chains, obliques)
+        code = {
+            "two-obliques-leave": "non-alternating-path",
+            "two-obliques-enter": "non-alternating-path",
+            "split-paths": "multiple-paths-between-chains",
+        }.get(case, case)
+        assert [v.code for v in report] == [code]
+        with pytest.raises(error) as built:
+            build_decomposition(chains, obliques)
+        assert type(built.value) is error
+        assert built.value.violations == tuple(report)
+        if as_quiver:
+            label = lambda cv: chains[cv.chain - 1][cv.position - 1]
+            vertical = [(high, low) for c in chains for low, high in zip(c, c[1:])]
+            q = make_quiver(
+                [v for c in chains for v in c],
+                vertical + [(label(s), label(d)) for s, d in obliques],
+            )
+            with pytest.raises(ValidationFailedError) as presented:
+                decompose_with_chains(q, chains)
+            assert presented.value.violations == tuple(report)
 
     def test_valid_three_chain_example(self):
         q = three_chain_quiver()
