@@ -7,9 +7,7 @@ from .quiver import (
     Policy,
     Quiver,
     QuiverError,
-    Trace,
     Verdict,
-    apply_sequence,
     coframe,
     color,
     colors,

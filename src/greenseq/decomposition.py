@@ -25,7 +25,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -135,56 +135,68 @@ class _Layout:
         chain = self.chain_of[i]
         return ChainVertex(chain, i - self.offsets[chain - 1] + 1)
 
-    def index(self, cv: ChainVertex) -> int:
-        """The int of a chain vertex; KeyError when the decomposition has none."""
+    def find(self, cv: ChainVertex) -> int | ChainVertex:
+        """The int of a chain vertex, or ``cv`` itself when the layout has none."""
         if 1 <= cv.chain <= len(self.lengths) and 1 <= cv.position <= self.lengths[cv.chain - 1]:
             return self.offsets[cv.chain - 1] + cv.position - 1
-        raise KeyError(cv)
+        return cv
+
+    def index(self, cv: ChainVertex) -> int:
+        """The int of a chain vertex; KeyError when the decomposition has none."""
+        i = self.find(cv)
+        if isinstance(i, ChainVertex):
+            raise KeyError(cv)
+        return i
 
 
 class ChainDecomposition:
     """Validated chains-plus-obliques presentation of a quiver.
 
     ``chains[i]`` lists chain i+1 from position 1 (sink end) upward.  Oblique
-    ends may be vertex labels or ChainVertex pairs.  Inside, every vertex is
-    one int (see :class:`_Layout`) and obliques are int pairs; ``obliques``
-    builds its ChainVertex pairs when read.  The vertex partial order and
-    the underlying quiver are computed on first use and cached; instances
-    are immutable by convention.
+    ends may be vertex labels or ChainVertex pairs; the constructor resolves
+    them to ints (see :class:`_Layout`) and checks every rule once, on the
+    ints.  ``obliques`` builds its ChainVertex pairs when read.  The vertex
+    partial order and the underlying quiver are computed on first use and
+    cached; instances are immutable by convention.
     """
 
-    def __init__(
-        self,
-        chains: Iterable[Iterable[Label]],
-        obliques: Iterable[tuple],
-        _validated: bool = False,
-    ):
+    def __init__(self, chains: Iterable[Iterable[Label]], obliques: Iterable[tuple]):
+        self._place(chains)
+        ends = [(self._resolve(src), self._resolve(dst)) for src, dst in obliques]
+        unknown = _unknown_end(ends)
+        if unknown is None:
+            ends.sort()  # ascending ints are (chain, position) order
+        else:  # the end the check meets first, in ChainVertex order
+            vertex = self._layout.vertex
+            unknown = _unknown_end(
+                sorted(ends, key=lambda p: [vertex(e) if isinstance(e, int) else e for e in p])
+            )
+        violations = _violations(self._layout, self._labels, ends, unknown)
+        if violations:
+            first = violations[0]
+            if first.code not in _ERROR_BY_CODE:
+                raise ValidationFailedError(violations)
+            error = _ERROR_BY_CODE[first.code](first.message)
+            error.violations = tuple(violations)
+            raise error
+        self._obliques = tuple(ends)
+
+    def _place(self, chains: Iterable[Iterable[Label]]) -> None:
         self.chains = _as_chain_tuples(chains)
         self._layout = _Layout(len(c) for c in self.chains)
         self._labels = tuple(v for chain in self.chains for v in chain)
         self._index = {v: i for i, v in enumerate(self._labels)}
-        ends = sorted((self._resolve(src), self._resolve(dst)) for src, dst in obliques)
-        if not _validated:
-            violations = validate_chains(self.chains, ends)
-            if violations:
-                first = violations[0]
-                if first.code not in _ERROR_BY_CODE:
-                    raise ValidationFailedError(violations)
-                error = _ERROR_BY_CODE[first.code](first.message)
-                error.violations = tuple(violations)
-                raise error
-        index = self._layout.index
-        self._obliques = tuple((index(src), index(dst)) for src, dst in ends)
         self._quiver: Quiver | None = None
         self._order: OrderRelation | None = None
 
-    def _resolve(self, end) -> ChainVertex:
+    def _resolve(self, end) -> int | ChainVertex:
+        """The int of an oblique end; a ChainVertex outside the layout stays as it is."""
         if isinstance(end, ChainVertex):
-            return end
+            return self._layout.find(end)
         i = self._index.get(str(end))
         if i is None:
             raise QuiverError(f"oblique endpoint not in any chain: {end!r}")
-        return self._layout.vertex(i)
+        return i
 
     @property
     def obliques(self) -> tuple[Oblique, ...]:
@@ -242,51 +254,65 @@ def validate_chains(
     the chain-adjacency graph, or a disconnected quiver.
     """
     chains = _as_chain_tuples(chains)
-    obliques = tuple(obliques)
-    out: list[Violation] = []
-
+    layout = _Layout(len(c) for c in chains)
+    ends = [(layout.find(src), layout.find(dst)) for src, dst in obliques]
     labels = [v for chain in chains for v in chain]
+    return _violations(layout, labels, ends, _unknown_end(ends))
+
+
+def _unknown_end(ends: list[tuple]) -> ChainVertex | None:
+    """The first oblique end that is no int, that is, lies outside the layout."""
+    return next((e for pair in ends for e in pair if not isinstance(e, int)), None)
+
+
+def _by_pair(
+    chain_of: list[int], ends: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The obliques between two chains, grouped by (smaller, larger) chain."""
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for src, dst in ends:
+        ci, cj = chain_of[src], chain_of[dst]
+        if ci != cj:
+            by_pair.setdefault((min(ci, cj), max(ci, cj)), []).append((src, dst))
+    return by_pair
+
+
+def _violations(
+    layout: _Layout,
+    labels: Sequence[Label],
+    ends: list[tuple[int, int]],
+    unknown: ChainVertex | None = None,
+) -> list[Violation]:
+    """Every broken rule of the int obliques ``ends`` over ``layout``.
+
+    ``unknown`` is an oblique end outside the layout; after a repeated label
+    and an empty decomposition it is the only violation reported.  Every
+    other message names its vertices as ChainVertex values.
+    """
     if len(set(labels)) != len(labels):
-        return [
-            Violation(
-                "duplicate-vertex", "vertex-map", "chains repeat a vertex label"
-            )
-        ]
+        return [Violation("duplicate-vertex", "vertex-map", "chains repeat a vertex label")]
     if not labels:
         return [Violation("disconnected", "connected", "no vertices")]
-    for src, dst in obliques:
-        for cv in (src, dst):
-            if not (
-                1 <= cv.chain <= len(chains)
-                and 1 <= cv.position <= len(chains[cv.chain - 1])
-            ):
-                return [
-                    Violation(
-                        "unknown-vertex", "vertex-map", f"no such chain vertex {cv}"
-                    )
-                ]
-        if src.chain == dst.chain:
-            out.append(
-                Violation(
-                    "oblique-within-chain",
-                    "oblique-zigzag",
-                    f"oblique {src} -> {dst} stays inside chain {src.chain}",
-                )
-            )
-
-    by_pair: dict[tuple[int, int], list[Oblique]] = {}
-    for src, dst in obliques:
-        if src.chain != dst.chain:
-            key = (min(src.chain, dst.chain), max(src.chain, dst.chain))
-            by_pair.setdefault(key, []).append((src, dst))
-    for pair, arrows in sorted(by_pair.items()):
-        violation = _zigzag_violation(pair, arrows)
-        if violation is not None:
-            out.append(violation)
+    if unknown is not None:
+        return [Violation("unknown-vertex", "vertex-map", f"no such chain vertex {unknown}")]
+    chain_of, vertex = layout.chain_of, layout.vertex
+    out = [
+        Violation(
+            "oblique-within-chain",
+            "oblique-zigzag",
+            f"oblique {vertex(src)} -> {vertex(dst)} stays inside chain {chain_of[src]}",
+        )
+        for src, dst in ends
+        if chain_of[src] == chain_of[dst]
+    ]
+    by_pair = _by_pair(chain_of, ends)
+    for _, arrows in sorted(by_pair.items()):
+        path = _zigzag(layout, arrows)
+        if isinstance(path, Violation):
+            out.append(path)
 
     # Chain-adjacency graph must be a forest; with connectivity, a tree.
-    edges = set(by_pair)
-    parent = {i + 1: i + 1 for i in range(len(chains))}
+    parent = list(range(len(layout.lengths) + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -294,7 +320,7 @@ def validate_chains(
             x = parent[x]
         return x
 
-    for x, y in sorted(edges):
+    for x, y in sorted(by_pair):
         rx, ry = find(x), find(y)
         if rx == ry:
             out.append(
@@ -306,7 +332,7 @@ def validate_chains(
             )
         else:
             parent[rx] = ry
-    roots = {find(i + 1) for i in range(len(chains))}
+    roots = {find(c) for c in range(1, len(layout.lengths) + 1)}
     if len(roots) > 1:
         out.append(
             Violation(
@@ -318,55 +344,48 @@ def validate_chains(
     return out
 
 
-def _zigzag_violation(pair: tuple[int, int], arrows: list[Oblique]) -> Violation | None:
-    """Check that one chain pair's obliques form a single increasing zigzag."""
-    outgoing: dict[ChainVertex, ChainVertex] = {}
-    indegree: dict[ChainVertex, int] = {}
-    nodes: set[ChainVertex] = set()
+def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Violation:
+    """One chain pair's obliques walked from their source, or the rule they break.
+
+    They must form a single path, alternating between the two chains, whose
+    positions strictly increase on each chain.
+    """
+    chain_of, vertex = layout.chain_of, layout.vertex
+    src, dst = arrows[0]
+    pair = tuple(sorted((chain_of[src], chain_of[dst])))
+
+    def broken(code: str, what: str) -> Violation:
+        return Violation(code, "oblique-zigzag", f"chains {pair}: {what}")
+
+    outgoing: dict[int, int] = {}
+    entered: set[int] = set()
     for src, dst in arrows:
-        nodes.update((src, dst))
         if src in outgoing:
-            return Violation(
-                "non-alternating-path",
-                "oblique-zigzag",
-                f"chains {pair}: two obliques leave {src}",
-            )
+            return broken("non-alternating-path", f"two obliques leave {vertex(src)}")
         outgoing[src] = dst
-        indegree[dst] = indegree.get(dst, 0) + 1
-        if indegree[dst] > 1:
-            return Violation(
-                "non-alternating-path",
-                "oblique-zigzag",
-                f"chains {pair}: two obliques enter {dst}",
-            )
-    sources = [v for v in nodes if indegree.get(v, 0) == 0]
+        if dst in entered:
+            return broken("non-alternating-path", f"two obliques enter {vertex(dst)}")
+        entered.add(dst)
+    split = broken("multiple-paths-between-chains", "obliques split into several paths")
+    sources = [v for v in outgoing if v not in entered]
     if len(sources) != 1:
-        return Violation(
-            "multiple-paths-between-chains",
-            "oblique-zigzag",
-            f"chains {pair}: obliques split into several paths",
-        )
-    # from the source, with every in-degree at most 1, the walk never
-    # revisits a vertex; a cycle apart from the path leaves nodes unvisited
+        return split
+    # from the one source, with every in-degree at most 1, the walk never
+    # revisits a vertex; a cycle apart from the path leaves vertices unvisited
     path = [sources[0]]
     while path[-1] in outgoing:
         path.append(outgoing[path[-1]])
-    if len(path) != len(nodes):
-        return Violation(
-            "multiple-paths-between-chains",
-            "oblique-zigzag",
-            f"chains {pair}: obliques split into several paths",
-        )
-    last_pos = {pair[0]: 0, pair[1]: 0}
-    for cv in path:
-        if cv.position <= last_pos[cv.chain]:
-            return Violation(
+    if len(path) != len(outgoing.keys() | entered):
+        return split
+    last: dict[int, int] = {}
+    for x in path:
+        if x <= last.get(chain_of[x], -1):
+            return broken(
                 "non-increasing-positions",
-                "oblique-zigzag",
-                f"chains {pair}: zigzag positions not strictly increasing at {cv}",
+                f"zigzag positions not strictly increasing at {vertex(x)}",
             )
-        last_pos[cv.chain] = cv.position
-    return None
+        last[chain_of[x]] = x
+    return path
 
 
 def underlying_quiver(dec: ChainDecomposition) -> Quiver:
@@ -400,9 +419,9 @@ def decompose_with_chains(
     chain pair is joined by exactly one arrow in the downward direction, and
     that the leftover arrows satisfy all decomposition rules.
     """
-    chains = _as_chain_tuples(chains)
-    labels = [v for chain in chains for v in chain]
-    if sorted(labels) != list(q.vertices):
+    dec = ChainDecomposition.__new__(ChainDecomposition)
+    dec._place(chains)
+    if sorted(dec._labels) != list(q.vertices):
         raise ValidationFailedError(
             [Violation("vertex-map", "vertex-map", "chains do not partition the vertex set")]
         )
@@ -411,7 +430,7 @@ def decompose_with_chains(
             [Violation("multiplicity", "vertical-chains", "arrow multiplicity above 1")]
         )
     vertical = set()
-    for chain in chains:
+    for chain in dec.chains:
         for low, high in zip(chain, chain[1:]):
             if q.b(high, low) != 1:
                 raise ValidationFailedError(
@@ -424,60 +443,33 @@ def decompose_with_chains(
                     ]
                 )
             vertical.add((high, low))
-    cv_of = {
-        v: ChainVertex(i + 1, l + 1)
-        for i, chain in enumerate(chains)
-        for l, v in enumerate(chain)
-    }
-    obliques = [
-        (cv_of[u], cv_of[v]) for u, v, _ in q.arrows() if (u, v) not in vertical
-    ]
-    violations = validate_chains(chains, obliques)
+    index = dec._index
+    ends = [(index[u], index[v]) for u, v, _ in q.arrows() if (u, v) not in vertical]
+    violations = _violations(dec._layout, dec._labels, ends)
     if violations:
         raise ValidationFailedError(violations)
-    return ChainDecomposition(chains, obliques, _validated=True)
+    dec._obliques = tuple(sorted(ends))
+    return dec
 
 
 class OrderRelation:
-    """Cover pairs over chain vertices and one descending linear extension.
+    """Cover pairs over a decomposition's vertex ints and one descending linear extension.
 
-    Inside, vertices are the ints 0..n-1 in (chain, position) order; for a
-    decomposition, a vertex's int is its chain offset plus its position
-    minus 1 (see :class:`_Layout`).  Covers and the extension are stored as
-    ints; ``vertices``, ``covers`` and ``extension`` build their ChainVertex
-    tuples when read.  The extension is computed once by Kahn's algorithm
-    over the covers, with a heap of ready ints, so ties break by smallest
-    chain, then smallest position.  A cycle among the covers (a self-cover
-    included) leaves vertices that never become ready and raises
-    OrderCycleDetectedError.  No closure is stored: :meth:`greater`
-    searches the covers when called.
+    The vertices are the ints 0..n-1 of a :class:`_Layout`, in (chain,
+    position) order: a vertex's int is its chain offset plus its position
+    minus 1.  Covers and the extension are stored as ints; ``vertices``,
+    ``covers`` and ``extension`` build their ChainVertex tuples when read.
+    The extension is computed once by Kahn's algorithm over the covers,
+    with a heap of ready ints, so ties break by smallest chain, then
+    smallest position.  A cycle among the covers (a self-cover included)
+    leaves vertices that never become ready and raises
+    OrderCycleDetectedError.  No closure is stored: :meth:`greater` searches
+    the covers when called.
     """
 
-    def __init__(self, vertices: Sequence[ChainVertex], covers: Iterable[tuple[ChainVertex, ChainVertex]]):
-        ordered = sorted(vertices)
-        index = {cv: i for i, cv in enumerate(ordered)}
-        self._build(
-            len(ordered),
-            [(index[hi], index[lo]) for hi, lo in covers],
-            ordered.__getitem__,
-            index.__getitem__,
-        )
-
-    @classmethod
-    def _indexed(cls, layout: _Layout, covers: list[tuple[int, int]]) -> "OrderRelation":
-        """The order over a decomposition's ints, from int cover pairs."""
-        rel = cls.__new__(cls)
-        rel._build(len(layout.chain_of), covers, layout.vertex, layout.index)
-        return rel
-
-    def _build(
-        self,
-        n: int,
-        covers: Iterable[tuple[int, int]],
-        vertex: Callable[[int], ChainVertex],
-        index_of: Callable[[ChainVertex], int],
-    ) -> None:
-        self._n, self._vertex, self._index_of = n, vertex, index_of
+    def __init__(self, layout: _Layout, covers: Iterable[tuple[int, int]]):
+        n = len(layout.chain_of)
+        self._layout = layout
         self._covers = tuple(dict.fromkeys(covers))
         self._below: list[list[int]] = [[] for _ in range(n)]
         above = [0] * n
@@ -495,26 +487,26 @@ class OrderRelation:
                     heapq.heappush(ready, j)
         if len(out) != n:
             stuck = next(i for i in range(n) if above[i])
-            raise OrderCycleDetectedError(f"order cycle through {vertex(stuck)}")
+            raise OrderCycleDetectedError(f"order cycle through {layout.vertex(stuck)}")
         self._extension = tuple(out)
 
     @property
     def vertices(self) -> tuple[ChainVertex, ...]:
-        return tuple(map(self._vertex, range(self._n)))
+        return tuple(map(self._layout.vertex, range(len(self._below))))
 
     @property
     def covers(self) -> tuple[tuple[ChainVertex, ChainVertex], ...]:
-        vertex = self._vertex
+        vertex = self._layout.vertex
         return tuple((vertex(hi), vertex(lo)) for hi, lo in self._covers)
 
     @property
     def extension(self) -> tuple[ChainVertex, ...]:
-        return tuple(map(self._vertex, self._extension))
+        return tuple(map(self._layout.vertex, self._extension))
 
     def greater(self, u: ChainVertex, v: ChainVertex) -> bool:
         """Whether a chain of covers leads down from u to v (depth-first search)."""
-        target = self._index_of(v)
-        stack = list(self._below[self._index_of(u)])
+        target = self._layout.index(v)
+        stack = list(self._below[self._layout.index(u)])
         seen = set(stack)
         while stack:
             i = stack.pop()
@@ -537,15 +529,9 @@ def _pair_order_lines(
     of chain j; when it re-enters chain i, the roles of the tails swap.
     Consecutive entries of every returned run are cover relations.
     """
-    outgoing = dict(pair_arrows)
-    entered = {dst for _, dst in pair_arrows}
-    start = next(src for src, _ in pair_arrows if src not in entered)
-    path = [start]
-    while path[-1] in outgoing:
-        path.append(outgoing[path[-1]])
-
+    path = _zigzag(layout, pair_arrows)  # a path: the decomposition is valid
     chain_of = layout.chain_of
-    ci, cj = chain_of[start], chain_of[path[1]]
+    ci, cj = chain_of[path[0]], chain_of[path[1]]
     a = [x for x in path if chain_of[x] == ci]
     b = [x for x in path if chain_of[x] == cj]
     end_i, end_j = layout.offsets[ci], layout.offsets[cj]  # one past each chain
@@ -575,14 +561,10 @@ def cover_relations(dec: ChainDecomposition) -> OrderRelation:
     covers = [
         (i, i + 1) for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]
     ]
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for src, dst in dec._obliques:
-        ci, cj = chain_of[src], chain_of[dst]
-        by_pair.setdefault((min(ci, cj), max(ci, cj)), []).append((src, dst))
-    for _, arrows in sorted(by_pair.items()):
+    for _, arrows in sorted(_by_pair(chain_of, dec._obliques).items()):
         for line in _pair_order_lines(layout, arrows):
             covers.extend(zip(line, line[1:]))
-    return OrderRelation._indexed(layout, covers)
+    return OrderRelation(layout, covers)
 
 
 def is_greater(dec: ChainDecomposition, u, v) -> bool:

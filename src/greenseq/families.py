@@ -14,10 +14,11 @@ from .decomposition import (
     ChainDecomposition,
     DecompositionError,
     build_decomposition,
+    decompose_with_chains,
 )
 from .hl import InconsistentLabelsError, hl_decompose, parse_hl_label
 from .quiver import Quiver, QuiverError, make_quiver
-from .type_a import is_type_a, type_a_decompose
+from .type_a import NotTypeAError, _peel, triangles
 from .type_d import classify_type_d, type_d_decompose
 
 
@@ -56,8 +57,12 @@ def auto_decompose(q: Quiver) -> tuple[str, ChainDecomposition] | None:
     spectral = _try_spectral(q)
     if spectral is not None:
         return "hl", spectral
-    if is_type_a(q):
-        return "mu_a", type_a_decompose(q)
+    try:
+        tris = triangles(q)
+    except NotTypeAError:
+        pass
+    else:
+        return "mu_a", decompose_with_chains(q, _peel(q, tris))
     cls = classify_type_d(q)
     if cls is not None:
         try:

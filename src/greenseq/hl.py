@@ -61,14 +61,18 @@ def hl_arrows(
     return out
 
 
-def hl_quiver(cartan: CartanData, window: Iterable[HLVertex]) -> Quiver:
-    """Full subquiver of the infinite quiver on the given finite window."""
-    vertices = sorted(set(window))
+def _check_window(cartan: CartanData, vertices: list[HLVertex]) -> None:
     if not vertices:
         raise EmptyWindowError("empty vertex window")
     for i, _ in vertices:
         if not 1 <= i <= cartan.rank:
             raise InconsistentLabelsError(f"node index {i} outside 1..{cartan.rank}")
+
+
+def hl_quiver(cartan: CartanData, window: Iterable[HLVertex]) -> Quiver:
+    """Full subquiver of the infinite quiver on the given finite window."""
+    vertices = sorted(set(window))
+    _check_window(cartan, vertices)
     arrows = [(hl_label(u), hl_label(v)) for u, v in hl_arrows(cartan, vertices)]
     return make_quiver([hl_label(v) for v in vertices], arrows)
 
@@ -106,8 +110,12 @@ def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
     labels do not parse or the arrow set does not match the arrow rule.
     """
     vertices = [parse_hl_label(v) for v in q.vertices]
-    expected = hl_quiver(cartan, vertices)
-    if expected != q:
+    _check_window(cartan, vertices)
+    # a label that is not canonical, such as "(1, 0)", or two labels of one
+    # vertex leave the quiver's vertex set apart from the window's
+    if [hl_label(v) for v in vertices] != list(q.vertices) or sorted(
+        (hl_label(u), hl_label(v), 1) for u, v in hl_arrows(cartan, vertices)
+    ) != q.arrows():
         raise InconsistentLabelsError("arrow set does not match the arrow rule")
     if not q.is_connected():
         raise InconsistentLabelsError("window is not connected")

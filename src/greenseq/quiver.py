@@ -336,14 +336,17 @@ class IceQuiver:
         )
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def make_quiver(
     vertices: Iterable[Label],
     arrows: Iterable[tuple] = (),
 ) -> Quiver:
     """Build a quiver from vertex labels and (source, target[, multiplicity]) arrows.
 
-    Rejects loops, duplicate vertices, unknown endpoints, and pairs of
-    arrows in both directions (2-cycles).
+    Rejects loops, duplicate vertices, unknown endpoints, pairs of arrows
+    in both directions (2-cycles) and a total multiplicity beyond int64.
     """
     labels = [str(v) for v in vertices]
     if len(set(labels)) != len(labels):
@@ -351,7 +354,8 @@ def make_quiver(
     order = tuple(sorted(labels))
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
-    b = np.zeros((n, n), dtype=np.int64)
+    # running totals in Python ints, so a sum beyond int64 raises, never wraps
+    totals: dict[tuple[int, int], int] = {}
     for arrow in arrows:
         if len(arrow) == 2:
             u, v, mult = str(arrow[0]), str(arrow[1]), 1
@@ -364,10 +368,17 @@ def make_quiver(
         if u not in index or v not in index:
             raise UnknownEndpointError(f"arrow endpoint not a vertex: {u!r}->{v!r}")
         i, j = index[u], index[v]
-        if b[j, i] > 0:
+        if (j, i) in totals:
             raise TwoCycleError(f"arrows in both directions between {u!r} and {v!r}")
-        b[i, j] += mult
-        b[j, i] -= mult
+        total = totals.get((i, j), 0) + mult
+        if total > _INT64_MAX:
+            raise QuiverError(
+                f"multiplicity of {u!r}->{v!r} exceeds the int64 range: {total}"
+            )
+        totals[i, j] = total
+    b = np.zeros((n, n), dtype=np.int64)
+    for (i, j), m in totals.items():
+        b[i, j], b[j, i] = m, -m
     return Quiver(order, b)
 
 
@@ -595,51 +606,6 @@ def as_sequence(steps: Steps) -> MutationSequence:
     return MutationSequence(tuple(steps))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    vertex: Label
-    color_before: Color | None
-    state_after: IceQuiver
-
-
-@dataclass(frozen=True)
-class Trace:
-    initial: IceQuiver
-    records: tuple[TraceStep, ...]
-
-    @property
-    def final(self) -> IceQuiver:
-        return self.records[-1].state_after if self.records else self.initial
-
-    def final_colors(self) -> dict[Label, Color]:
-        return colors(self.final)
-
-
-def apply_sequence(
-    iq: IceQuiver, seq: Steps, policy: Policy = Policy.UNCHECKED
-) -> Trace:
-    """Execute a mutation sequence, recording each intermediate state.
-
-    Under REQUIRE_GREEN the run halts with NotGreenAtStepError at the first
-    step whose vertex is not currently green.
-    """
-    seq = as_sequence(seq)
-    state = iq
-    records = []
-    for idx, v in enumerate(seq):
-        if v in state.frozen:
-            raise FrozenVertexMutationError(f"step {idx} mutates frozen vertex {v!r}")
-        try:
-            before: Color | None = color(state, v)
-        except (NotSignCoherentError, ZeroRowError):
-            before = None
-        if policy is Policy.REQUIRE_GREEN and before is not Color.GREEN:
-            raise NotGreenAtStepError(idx, v)
-        state = mutate(state, v)
-        records.append(TraceStep(v, before, state))
-    return Trace(iq, tuple(records))
-
-
 def _replay(
     rows: Rows,
     mutable: Sequence[Label],
@@ -651,8 +617,10 @@ def _replay(
 
     ``mutable`` labels the rows and ``frozen`` is the frozen label set.
     Yields (step index, vertex, row) before each mutation, so a caller can
-    read the state the step starts from.  Raises what :func:`apply_sequence`
-    raises, at the same step; no state is kept.
+    read the state the step starts from.  Under REQUIRE_GREEN the run halts
+    with NotGreenAtStepError at the first step whose vertex is not green.
+    A frozen or unknown vertex and an unsafe state raise at their step; no
+    state is kept.
     """
     index = {v: i for i, v in enumerate(mutable)}
     frozen = frozenset(frozen)
@@ -673,7 +641,11 @@ def _replay(
 
 
 def final_state(iq: IceQuiver, seq: Steps) -> IceQuiver:
-    """``apply_sequence(iq, seq).final``, keeping no intermediate state."""
+    """The state after mutating ``iq`` at each step of ``seq`` in turn.
+
+    Equals one :func:`mutate` call per step, but runs the kernel on [B | C]
+    directly and keeps no intermediate state.
+    """
     mutable, frozen, rows = _rows_of(iq)
     for _ in _replay(rows, mutable, frozen, as_sequence(seq), Policy.UNCHECKED):
         pass

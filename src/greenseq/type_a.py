@@ -121,13 +121,20 @@ def connecting_vertices(q: Quiver) -> frozenset[Label]:
 
 
 def type_a_decompose(q: Quiver, pinned: Iterable[Label] = ()) -> ChainDecomposition:
-    """Peel triangles into chains; every pinned vertex lands in a singleton.
+    """Peel triangles into chains; every pinned vertex lands in a singleton."""
+    return decompose_with_chains(q, _peel(q, triangles(q), pinned))
+
+
+def _peel(
+    q: Quiver, tris: list[Triangle], pinned: Iterable[Label] = ()
+) -> list[list[Label]]:
+    """The chains of :func:`type_a_decompose`, given the triangles of ``q``.
 
     The triangle-adjacency graph of a type-A quiver is a forest; each
     component is processed from a root triangle (the pinned one when
     present) so that every later triangle still has two unplaced vertices.
+    The chains are not validated here.
     """
-    tris = triangles(q)
     pinned = {str(v) for v in pinned}
     connecting = _connecting(q, tris)
     for p in pinned:
@@ -211,4 +218,4 @@ def type_a_decompose(q: Quiver, pinned: Iterable[Label] = ()) -> ChainDecomposit
     for v in q.vertices:
         if v not in placed:
             chains.append([v])
-    return decompose_with_chains(q, chains)
+    return chains

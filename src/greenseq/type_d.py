@@ -35,8 +35,8 @@ from .decomposition import (
     Violation,
     decompose_with_chains,
 )
-from .quiver import Label, Quiver, full_subquiver, make_quiver
-from .type_a import NotTypeAError, connecting_vertices, type_a_decompose
+from .quiver import Label, Quiver, full_subquiver
+from .type_a import NotTypeAError, _peel, connecting_vertices, triangles
 
 
 @dataclass(frozen=True)
@@ -224,23 +224,12 @@ def _try_type_ii(q: Quiver) -> TypeDClassification | None:
         if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
             continue
         comp_c, comp_d = comps if c in comps[0] else comps[::-1]
-        if _connects(_subquiver_without_arrow(q, comp_c, (c, d)), c) and _connects(
-            _subquiver_without_arrow(q, comp_d, (c, d)), d
+        # c and d lie in different components, so neither holds the arrow c -> d
+        if _connects(full_subquiver(q, comp_c), c) and _connects(
+            full_subquiver(q, comp_d), d
         ):
             return TypeDClassification("II", a=a, b=b, c=c, d=d)
     return None
-
-
-def _subquiver_without_arrow(
-    q: Quiver, keep: list[Label], arrow: tuple[Label, Label]
-) -> Quiver:
-    kept = set(keep)
-    arrows = [
-        (u, v, m)
-        for u, v, m in q.arrows()
-        if u in kept and v in kept and (u, v) != arrow
-    ]
-    return make_quiver(sorted(kept), arrows)
 
 
 def _try_type_i(q: Quiver) -> TypeDClassification | None:
@@ -282,49 +271,38 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
     )
 
 
+def _type_a_chains(q: Quiver, comp: list[Label], pinned: list[Label]) -> list[list[Label]]:
+    """Type-A chains of the full subquiver on ``comp``, each pinned vertex a singleton.
+
+    Not validated: only the decomposition of the whole quiver is.
+    """
+    sub = full_subquiver(q, comp)
+    return _peel(sub, triangles(sub), pinned)
+
+
 def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
     """Chain decomposition following the per-type recipe; validates the result."""
     if cls.kind == "I":
         comp = [v for v in q.vertices if v not in (cls.a, cls.b)]
-        inner = type_a_decompose(full_subquiver(q, comp), pinned=[cls.c])
-        chains = [list(chain) for chain in inner.chains] + [[cls.a], [cls.b]]
+        chains = _type_a_chains(q, comp, [cls.c]) + [[cls.a], [cls.b]]
         return decompose_with_chains(q, chains)
 
-    if cls.kind == "II":
-        removed = {cls.a, cls.b}
-        comps = _components(q, removed, (cls.c, cls.d))
+    if cls.kind in ("II", "III"):
+        comps = _components(q, {cls.a, cls.b}, (cls.c, cls.d) if cls.kind == "II" else None)
         comp_c = next(x for x in comps if cls.c in x)
         comp_d = next(x for x in comps if cls.d in x)
-        dec_c = type_a_decompose(
-            _subquiver_without_arrow(q, comp_c, (cls.c, cls.d)), pinned=[cls.c]
-        )
-        dec_d = type_a_decompose(
-            _subquiver_without_arrow(q, comp_d, (cls.c, cls.d)), pinned=[cls.d]
-        )
         chains = [
-            list(chain)
-            for dec in (dec_c, dec_d)
-            for chain in dec.chains
-            if list(chain) not in ([cls.c], [cls.d])
+            chain
+            for comp, pin in ((comp_c, cls.c), (comp_d, cls.d))
+            for chain in _type_a_chains(q, comp, [pin])
+            if chain not in ([cls.c], [cls.d])
         ]
-        chains.append([cls.d, cls.c])  # the shared arrow c -> d, d at the sink end
-        chains.extend([[cls.a], [cls.b]])
-        return decompose_with_chains(q, chains)
-
-    if cls.kind == "III":
-        comps = _components(q, {cls.a, cls.b})
-        comp_c = next(x for x in comps if cls.c in x)
-        comp_d = next(x for x in comps if cls.d in x)
-        dec_c = type_a_decompose(full_subquiver(q, comp_c), pinned=[cls.c])
-        dec_d = type_a_decompose(full_subquiver(q, comp_d), pinned=[cls.d])
-        chains = [
-            list(chain)
-            for dec in (dec_c, dec_d)
-            for chain in dec.chains
-            if list(chain) not in ([cls.c], [cls.d])
-        ]
-        chains.append([cls.d, cls.a, cls.c])  # the path c -> a -> d as one chain
-        chains.append([cls.b])
+        if cls.kind == "II":
+            chains.append([cls.d, cls.c])  # the shared arrow c -> d, d at the sink end
+            chains.extend([[cls.a], [cls.b]])
+        else:
+            chains.append([cls.d, cls.a, cls.c])  # the path c -> a -> d as one chain
+            chains.append([cls.b])
         return decompose_with_chains(q, chains)
 
     assert cls.kind == "IV" and cls.central is not None
@@ -332,14 +310,12 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
     apex_over: dict[tuple[Label, Label], Label] = {
         (a, b): apex for a, b, apex in cls.spikes
     }
-    comps = _components(q, set(central))
-    comp_decs = []
-    for comp in comps:
-        apexes = [x for x in comp if x in {apex for _, _, apex in cls.spikes}]
-        comp_decs.append(
-            type_a_decompose(full_subquiver(q, comp), pinned=apexes)
-        )
-    outer_chains = [list(chain) for dec in comp_decs for chain in dec.chains]
+    all_apexes = {apex for _, _, apex in cls.spikes}
+    outer_chains = [
+        chain
+        for comp in _components(q, set(central))
+        for chain in _type_a_chains(q, comp, [x for x in comp if x in all_apexes])
+    ]
 
     failures: list[Violation] = []
     for solo in sorted(central):
@@ -354,7 +330,7 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
         solo_chain = [v for v in (entering, solo, leaving) if v is not None]
         merged = {entering, leaving} - {None}
         chains = [list(reversed(around)), solo_chain] + [
-            list(c) for c in outer_chains if not (len(c) == 1 and c[0] in merged)
+            c for c in outer_chains if not (len(c) == 1 and c[0] in merged)
         ]
         try:
             return decompose_with_chains(q, chains)

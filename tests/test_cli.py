@@ -261,6 +261,22 @@ class TestMalformedInput:
         assert code == 2
         assert "arrow" in err
 
+    @pytest.mark.parametrize(
+        "arrows",
+        [
+            [{"from": "a", "to": "b", "mult": 99999999999999999999}],
+            [{"from": "a", "to": "b", "mult": 5 * 10**18}] * 2,
+        ],
+        ids=["mult-beyond-int64", "parallel-sum-beyond-int64"],
+    )
+    def test_multiplicity_beyond_int64(self, capsys, tmp_path, arrows):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"vertices": ["a", "b"], "arrows": arrows}))
+        code, out, err = run(capsys, "mgs", str(qfile))
+        assert code == 2
+        assert out == ""
+        assert "int64" in err and "Traceback" not in err
+
     def test_steps_string_is_not_a_list(self, capsys, tmp_path):
         qfile = tmp_path / "q.json"
         sfile = tmp_path / "s.json"

@@ -21,6 +21,7 @@ from greenseq.decomposition import (
     OrderCycleDetectedError,
     OrderRelation,
     ValidationFailedError,
+    _Layout,
     associated_sequence,
     build_decomposition,
     check_step_shapes,
@@ -345,17 +346,16 @@ class TestOrderAgainstBruteForce:
     @pytest.mark.parametrize(
         "covers",
         [
-            [((1, 1), (1, 1))],
-            [((1, 1), (1, 2)), ((1, 2), (1, 1))],
-            [((1, 1), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (1, 1)), ((2, 1), (2, 2))],
+            [(0, 0)],
+            [(0, 1), (1, 0)],
+            [(0, 1), (1, 2), (2, 0), (2, 3)],
         ],
         ids=["self-cover", "two-cycle", "three-cycle"],
     )
     def test_cycle_detected(self, covers):
-        vertices = [ChainVertex(c, p) for c in (1, 2) for p in (1, 2)]
-        pairs = [(ChainVertex(*hi), ChainVertex(*lo)) for hi, lo in covers]
+        # two chains of two vertices: ints 0, 1 on chain 1 and 2, 3 on chain 2
         with pytest.raises(OrderCycleDetectedError):
-            OrderRelation(vertices, pairs)
+            OrderRelation(_Layout((2, 2)), covers)
 
     def test_construct_at_1600_vertices(self):
         dec = random_decomposition(1600, 160, 1600)

@@ -20,18 +20,17 @@ from greenseq.quiver import (
     IceQuiver,
     LoopArrowError,
     MutationSequence,
-    NotGreenAtStepError,
     NotSignCoherentError,
-    Policy,
     Quiver,
+    QuiverError,
     TwoCycleError,
     UnknownEndpointError,
     UnknownVertexError,
     ZeroRowError,
-    apply_sequence,
     coframe,
     color,
     colors,
+    final_state,
     frame,
     full_subquiver,
     is_green_sequence,
@@ -68,6 +67,14 @@ class TestMakeQuiver:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(UnknownEndpointError):
             make_quiver([1, 2], [(1, 3)])
+
+    def test_multiplicity_sums_up_to_int64(self):
+        top = 2**63 - 1
+        assert make_quiver("ab", [("a", "b", top - 1), ("a", "b")]).b("b", "a") == -top
+        with pytest.raises(QuiverError, match="int64"):
+            make_quiver("ab", [("a", "b", 2**63)])
+        with pytest.raises(QuiverError, match="int64"):
+            make_quiver("ab", [("a", "b", 5 * 10**18)] * 2)
 
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(Exception):
@@ -247,24 +254,26 @@ class TestSequences:
 
     def test_empty_sequence_trace(self):
         iq = frame(a2())
-        trace = apply_sequence(iq, MutationSequence(()))
-        assert trace.records == ()
-        assert trace.final == iq
+        assert final_state(iq, MutationSequence(())) == iq
 
     def test_require_green_on_a2(self):
-        trace = apply_sequence(frame(a2()), ["2", "1"], Policy.REQUIRE_GREEN)
-        assert all(c is Color.RED for c in trace.final_colors().values())
-        assert [r.color_before for r in trace.records] == [Color.GREEN, Color.GREEN]
+        state, before = frame(a2()), []
+        for v in ("2", "1"):
+            before.append(color(state, v))
+            state = mutate(state, v)
+        assert before == [Color.GREEN, Color.GREEN]
+        assert all(c is Color.RED for c in colors(state).values())
+        assert is_maximal_green_sequence(a2(), ["2", "1"])
 
     def test_require_green_halts(self):
-        with pytest.raises(NotGreenAtStepError) as err:
-            apply_sequence(frame(a2()), ["2", "1", "2"], Policy.REQUIRE_GREEN)
-        assert err.value.index == 2
-        assert err.value.vertex == "2"
+        verdict = is_green_sequence(a2(), ["2", "1", "2"])
+        assert (verdict.ok, verdict.step_index, verdict.vertex) == (False, 2, "2")
 
     def test_unchecked_executes_anyway(self):
-        trace = apply_sequence(frame(a2()), ["2", "1", "2"], Policy.UNCHECKED)
-        assert len(trace.records) == 3
+        state = frame(a2())
+        for v in ("2", "1", "2"):
+            state = mutate(state, v)
+        assert final_state(frame(a2()), ["2", "1", "2"]) == state
 
 
 class TestVerdicts:

@@ -16,7 +16,7 @@ from greenseq.quiver import (
     IceQuiver,
     MutationSequence,
     QuiverError,
-    apply_sequence,
+    final_state,
     frame,
     make_quiver,
 )
@@ -163,7 +163,7 @@ def test_dot_framed_state():
 
 def test_dot_colors_follow_state():
     q = make_quiver(["1", "2"], [("2", "1")])
-    final = apply_sequence(frame(q), ["2", "1"]).final
+    final = final_state(frame(q), ["2", "1"])
     dot = to_dot(final)
     assert dot.count('fillcolor="red"') == 2
     assert 'fillcolor="green"' not in dot
