@@ -111,8 +111,8 @@ def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
     """
     vertices = [parse_hl_label(v) for v in q.vertices]
     _check_window(cartan, vertices)
-    # a label that is not canonical, such as "(1, 0)", or two labels of one
-    # vertex leave the quiver's vertex set apart from the window's
+    # a non-canonical label such as "(1, 0)", and so also two labels of one
+    # vertex, fails the label comparison
     if [hl_label(v) for v in vertices] != list(q.vertices) or sorted(
         (hl_label(u), hl_label(v), 1) for u, v in hl_arrows(cartan, vertices)
     ) != q.arrows():
