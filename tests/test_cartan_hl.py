@@ -158,14 +158,15 @@ class TestDecompose:
     A2_WINDOW = [(1, 0), (1, 2), (2, 1), (2, 3)]
 
     @pytest.mark.parametrize(
-        "relabel, extra_vertices, edit",
+        "window, relabel, extra_vertices, edit",
         [
-            ({"(1,0)": "(1, 0)"}, [], None),
-            ({}, ["(1, 0)"], None),
-            ({}, ["(3,0)"], None),
-            ({}, [], ("double", ("(1,0)", "(1,2)"))),
-            ({}, [], ("add", ("(1,0)", "(2,3)"))),
-            ({}, [], ("drop", ("(2,1)", "(2,3)"))),
+            # one vertex, so the arrow comparison cannot catch the label
+            ([(1, 0)], {"(1,0)": "(1, 0)"}, [], None),
+            (A2_WINDOW, {}, ["(1, 0)"], None),
+            (A2_WINDOW, {}, ["(3,0)"], None),
+            (A2_WINDOW, {}, [], ("double", ("(1,0)", "(1,2)"))),
+            (A2_WINDOW, {}, [], ("add", ("(1,0)", "(2,3)"))),
+            (A2_WINDOW, {}, [], ("drop", ("(2,1)", "(2,3)"))),
         ],
         ids=[
             "non-canonical-label",
@@ -176,9 +177,9 @@ class TestDecompose:
             "missing-arrow",
         ],
     )
-    def test_rejections_raise_inconsistent_labels(self, relabel, extra_vertices, edit):
+    def test_rejections_raise_inconsistent_labels(self, window, relabel, extra_vertices, edit):
         cartan = cartan_data("A", 2)
-        base = hl_quiver(cartan, self.A2_WINDOW)
+        base = hl_quiver(cartan, window)
         name = lambda v: relabel.get(v, v)
         arrows = [(name(u), name(v), m) for u, v, m in base.arrows()]
         if edit is not None:
