@@ -342,10 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="exhaustive green-sequence oracle")
     sea.add_argument("quiver")
     sea.add_argument("--mode", choices=["count", "min", "enumerate"], default="count")
-    sea.add_argument("--max-len", type=int)
-    sea.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    sea.add_argument("--mutable-cap", type=int, default=DEFAULT_MUTABLE_CAP)
-    sea.add_argument("--include-sequences", action="store_true")
+    sea.add_argument(
+        "--max-len", type=int, help="consider only sequences of at most this length"
+    )
+    sea.add_argument(
+        "--node-cap",
+        type=int,
+        default=DEFAULT_NODE_CAP,
+        help="budget of mutations the search may make; exit 3 beyond it "
+        "(GREENSEQ_NODE_CAP overrides)",
+    )
+    sea.add_argument(
+        "--mutable-cap",
+        type=int,
+        default=DEFAULT_MUTABLE_CAP,
+        help="refuse (exit 3) quivers with more vertices than this",
+    )
+    sea.add_argument(
+        "--include-sequences",
+        action="store_true",
+        help="count mode only: also list the maximal green sequences",
+    )
     sea.set_defaults(handler=_cmd_search)
 
     exp = sub.add_parser("export", help="export DOT or JSON")

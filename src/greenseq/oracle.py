@@ -24,17 +24,16 @@ a child is copy-on-write: it shares every row with its parent except row k
 and the rows of k's neighbours.  The depth-first walks keep only the state
 at the end of their path and step back by mutating it again, since
 mutation is an involution.  One pass over the C entries of a state
-gives both its green moves and whether every row is red.  States are
-deduplicated by a flat tuple of all 2n^2 entries of [B | C], zeros
-included, which is about as small as the raw bytes of a dense matrix while
-the entries stay small; the breadth-first frontier keeps a state as that
-tuple alone.  No isomorphism
-reduction is attempted; at the default cap of eight mutable vertices none
-is needed.
+gives both its green moves and whether every row is red.  The memo of the
+dynamic programme and the visited set of the breadth-first search key a
+state by its c-vectors alone, sorted (:meth:`_Search.key`), so they solve
+each cluster once, not once per labelling of its seed; counts and minimal
+lengths do not depend on the labels.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -77,7 +76,11 @@ State = tuple[Rows, bool]
 class _Search:
     """Matrix-level search state shared by the engines."""
 
-    def __init__(self, q: Quiver, node_cap: int, mutable_cap: int):
+    def __init__(self, q: Quiver, max_len: int | None, node_cap: int, mutable_cap: int):
+        limits = {"max_len": max_len, "node_cap": node_cap, "mutable_cap": mutable_cap}
+        for name, value in limits.items():
+            if value is not None and value < 0:
+                raise QuiverError(f"{name} must not be negative, got {value}")
         if len(q.vertices) > mutable_cap:
             raise BudgetExceededError(
                 f"{len(q.vertices)} mutable vertices exceeds cap {mutable_cap}"
@@ -85,6 +88,7 @@ class _Search:
         rows = _framed_rows(q)[1]
         self.start: State = (rows, _unsafe(rows))
         self._labels = q.vertices
+        self.max_len = max_len
         self.budget = _Budget(node_cap)
 
     def mutate(self, state: State, k: int) -> State:
@@ -111,31 +115,34 @@ class _Search:
                 all_red = False
         return green, all_red
 
-    def key(self, state: State) -> tuple[int, ...]:
-        """Every entry of the framed [B | C], n x 2n, row by row: equal
-        exactly for equal states."""
-        rows = state[0]
-        width = 2 * len(rows)
-        flat = [0] * (width * len(rows))
-        for i, row in enumerate(rows):
-            base = i * width
-            for j, b in row.items():
-                flat[base + j] = b
-        return tuple(flat)
+    def key(self, state: State) -> bytes:
+        """The c-vectors (rows of C), sorted and packed as int64 bytes.
 
-    def rows(self, key: tuple[int, ...]) -> Rows:
-        """The rows of the state whose :meth:`key` is ``key``."""
-        width = 2 * len(self.start[0])
-        return [
-            {j: b for j, b in enumerate(key[base : base + width]) if b}
-            for base in range(0, len(key), width)
-        ]
+        C fixes B = C B0 C^T along green runs (Nakanishi-Zelevinsky tropical
+        duality) and has distinct rows, so two states share a key exactly
+        when one relabels the other: C2 = P C1 and B2 = P B1 P^T for a
+        permutation matrix P.  Entries fit in int64: a start state comes
+        from an int64 matrix, and a child is made only from a parent not
+        flagged unsafe, whose entries are below 2^31, so its own are below
+        2^31 + 2^62.
+        """
+        rows = state[0]
+        n = len(rows)
+        cs = []
+        for row in rows:
+            c = [0] * n
+            for j, b in row.items():
+                if j >= n:
+                    c[j - n] = b
+            cs.append(c)
+        cs.sort()
+        return array("q", [x for c in cs for x in c]).tobytes()
 
     def steps(self, path: list[int]) -> list[str]:
         return [self._labels[k] for k in path]
 
 
-def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], bool]]:
+def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
     """Depth-first pre-order over the green tree, on an explicit stack.
 
     Yields the path of row indices to each state, and whether that state is
@@ -153,7 +160,7 @@ def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], boo
 
     def visit(state: State) -> tuple[bool, Iterator[int]]:
         green, all_red = search.colors(state)
-        if max_len is not None and len(path) >= max_len:
+        if search.max_len is not None and len(path) >= search.max_len:
             green = []
         return all_red, iter(green)
 
@@ -181,13 +188,13 @@ def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], boo
 class _Frame:
     """One state of the DP walk and the answer folded in from its children.
 
-    A frame keeps the state's memo key (the flat tuple of its entries and
+    A frame keeps the state's memo key (its packed sorted c-vectors and
     the steps left), its overflow flag and the move that made it, but not
     its rows, so a deep stack on an infinite green path costs about one
-    key per state.
+    key of n^2 int64 entries per state.
     """
 
-    key: tuple[tuple[int, ...], int | None]
+    key: tuple[bytes, int | None]
     unsafe: bool
     move: int | None
     pending: Iterator[int]
@@ -195,7 +202,7 @@ class _Frame:
     best: int | None
 
 
-def _count_dp(search: _Search, max_len: int | None) -> tuple[int, int | None]:
+def _count_dp(search: _Search) -> tuple[int, int | None]:
     """(number of MGS, length of a shortest one or None) from the start state.
 
     Post-order over the green state DAG on an explicit stack.  A state with
@@ -203,16 +210,16 @@ def _count_dp(search: _Search, max_len: int | None) -> tuple[int, int | None]:
     otherwise; any other state sums its children's counts and takes one more
     than their least length.  The memo key holds the steps left under
     ``max_len`` (None without a bound), because one state can be reached at
-    different depths.  Every child, memo hit or not, is made by
-    ``search.mutate``, so the budget and the overflow guard act as in
-    enumeration.  As in :func:`_walk`, only the top frame's state is kept,
-    and a finished frame is undone by mutating again at its move.
+    different depths; relabelled states share it, so without ``max_len``
+    each edge of the exchange graph costs one mutation.  Every child, memo
+    hit or not, is made by ``search.mutate``, so the budget and the overflow
+    guard act as in enumeration.  As in :func:`_walk`, only the top frame's
+    state is kept, and a finished frame is undone by mutating again at its
+    move.
     """
-    memo: dict[tuple[tuple[int, ...], int | None], tuple[int, int | None]] = {}
+    memo: dict[tuple[bytes, int | None], tuple[int, int | None]] = {}
 
-    def open_frame(
-        state: State, key: tuple[tuple[int, ...], int | None], move: int | None
-    ) -> _Frame:
+    def open_frame(state: State, key: tuple[bytes, int | None], move: int | None) -> _Frame:
         green, all_red = search.colors(state)
         if all_red:
             return _Frame(key, state[1], move, iter(()), 1, 0)
@@ -220,7 +227,7 @@ def _count_dp(search: _Search, max_len: int | None) -> tuple[int, int | None]:
         return _Frame(key, state[1], move, iter(moves), 0, None)
 
     rows = search.start[0]
-    stack = [open_frame(search.start, (search.key(search.start), max_len), None)]
+    stack = [open_frame(search.start, (search.key(search.start), search.max_len), None)]
     while True:
         top = stack[-1]
         k = next(top.pending, None)
@@ -261,8 +268,8 @@ def enumerate_green_sequences(
     mutations performed.  This lists every path, so it costs as many
     mutations as there are green sequences: use :func:`count_mgs` for counts.
     """
-    search = _Search(q, node_cap, mutable_cap)
-    for path, maximal in _walk(search, max_len):
+    search = _Search(q, max_len, node_cap, mutable_cap)
+    for path, maximal in _walk(search):
         yield MutationSequence(search.steps(path)), maximal
 
 
@@ -277,7 +284,7 @@ def count_mgs(
     Computed by dynamic programming over green states, not by listing the
     sequences; the node budget still counts mutations.
     """
-    return _count_dp(_Search(q, node_cap, mutable_cap), max_len)[0]
+    return _count_dp(_Search(q, max_len, node_cap, mutable_cap))[0]
 
 
 def min_mgs_length(
@@ -289,49 +296,43 @@ def min_mgs_length(
 ) -> int | None:
     """Length of a shortest maximal green sequence, or None when none exists.
 
-    The default engine is a breadth-first search with visited-state
-    memoization on the flat tuple of matrix entries; ``engine="dfs"`` runs a
+    The default engine is a breadth-first search that visits each state
+    once up to relabelling; ``engine="dfs"`` runs a
     memoization-free iterative-deepening search as an independent
     cross-check (it requires ``max_len`` to conclude None).
     """
-    search = _Search(q, node_cap, mutable_cap)
+    search = _Search(q, max_len, node_cap, mutable_cap)
     if engine == "bfs":
-        return _min_bfs(search, max_len)
+        return _min_bfs(search)
     if engine == "dfs":
-        return _min_iddfs(search, max_len)
+        return _min_iddfs(search)
     raise QuiverError(f"unknown engine {engine!r}")
 
 
-def _min_bfs(search: _Search, max_len: int | None) -> int | None:
-    """Breadth-first search for the least depth of an all-red state.
-
-    The frontier keeps a state as its key, which ``seen`` holds anyway, and
-    its overflow flag, and rebuilds the rows when the state is dequeued; a
-    queued state then costs no memory beyond its key.
-    """
-    start = search.key(search.start)
-    seen = {start}
-    frontier: deque[tuple[tuple[int, ...], bool, int]] = deque(
-        [(start, search.start[1], 0)]
-    )
+def _min_bfs(search: _Search) -> int | None:
+    """Breadth-first search for the least depth of an all-red state; ``seen``
+    holds state keys, so of the states that relabel one another only the
+    first reached is queued."""
+    seen = {search.key(search.start)}
+    frontier = deque([(search.start, 0)])
     while frontier:
-        key, unsafe, depth = frontier.popleft()
-        state = (search.rows(key), unsafe)
+        state, depth = frontier.popleft()
         green, all_red = search.colors(state)
         if all_red:
             return depth
-        if max_len is not None and depth >= max_len:
+        if search.max_len is not None and depth >= search.max_len:
             continue
         for k in green:
             child = search.mutate(state, k)
             key = search.key(child)
             if key not in seen:
                 seen.add(key)
-                frontier.append((key, child[1], depth + 1))
+                frontier.append((child, depth + 1))
     return None
 
 
-def _min_iddfs(search: _Search, max_len: int | None) -> int | None:
+def _min_iddfs(search: _Search) -> int | None:
+    max_len = search.max_len
     if max_len is None:
         raise QuiverError("dfs engine needs max_len to be able to answer None")
 
@@ -364,14 +365,12 @@ def oracle_report(
     counts mutations.
     """
     try:
-        search = _Search(q, node_cap, mutable_cap)
+        search = _Search(q, max_len, node_cap, mutable_cap)
         if include_sequences:
-            sequences = [
-                search.steps(path) for path, maximal in _walk(search, max_len) if maximal
-            ]
+            sequences = [search.steps(path) for path, maximal in _walk(search) if maximal]
             count, best = len(sequences), min(map(len, sequences), default=None)
         else:
-            count, best = _count_dp(search, max_len)
+            count, best = _count_dp(search)
     except BudgetExceededError:
         # no partial numbers: a blown budget must never look like an answer
         return {"min_length": None, "count": None, "budget_exhausted": True}

@@ -5,8 +5,17 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from greenseq.quiver import IceQuiver, Quiver
+from greenseq.quiver import (
+    MAX_SAFE_ENTRY,
+    Color,
+    IceQuiver,
+    Quiver,
+    color,
+    final_state,
+    frame,
+)
 
 
 def random_quiver(rng: random.Random, n: int, density: float = 0.5, max_mult: int = 2) -> Quiver:
@@ -35,6 +44,41 @@ def random_ice_quiver(
     b = q.matrix.copy()
     b[np.ix_(idx, idx)] = 0
     return IceQuiver(Quiver(q.vertices, b), frozen)
+
+
+def green_steps(draw, q: Quiver, min_steps: int = 0, max_steps: int = 8) -> list[str]:
+    """A random green run of ``min_steps`` to ``max_steps`` steps from the
+    framing of ``q``.
+
+    The run stops early where no vertex is green (an all-red state), or
+    where an entry has reached MAX_SAFE_ENTRY: a few green steps can get
+    there.
+    """
+    steps: list[str] = []
+    for pick in draw(st.lists(st.integers(0, 5), min_size=min_steps, max_size=max_steps)):
+        state = final_state(frame(q), steps)
+        if np.abs(state.quiver.matrix).max() >= MAX_SAFE_ENTRY:
+            break  # the next step would be refused
+        green = [v for v in state.mutable if color(state, v) is Color.GREEN]
+        if not green:
+            break
+        steps.append(green[pick % len(green)])
+    return steps
+
+
+@st.composite
+def green_runs(draw, max_n: int = 6):
+    """A quiver on 1-max_n vertices with multiplicities up to 2, and a
+    random green run from its framing (:func:`green_steps`)."""
+    n = draw(st.integers(1, max_n))
+    labels = tuple(f"v{i}" for i in range(n))
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    q = Quiver(labels, b)
+    return q, green_steps(draw, q)
 
 
 def random_acyclic_quiver(rng: random.Random, n: int, density: float = 0.5) -> Quiver:

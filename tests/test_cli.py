@@ -406,6 +406,22 @@ class TestSearch:
         monkeypatch.setenv("GREENSEQ_NODE_CAP", "5")
         assert run(capsys, "search", str(qfile), "--mode", "min")[0] == 3
 
+    @pytest.mark.parametrize("mode", ["count", "min", "enumerate"])
+    @pytest.mark.parametrize("flag", ["--max-len", "--node-cap", "--mutable-cap"])
+    def test_negative_limit_exits_2(self, capsys, tmp_path, flag, mode):
+        qfile = write_quiver(tmp_path / "q.json", make_quiver(["1", "2"], [("2", "1")]))
+        code, out, err = run(capsys, "search", qfile, "--mode", mode, flag, "-1")
+        assert code == 2 and out == ""
+        assert "must not be negative" in err
+
+    @pytest.mark.parametrize("mode", ["count", "min"])
+    def test_negative_node_cap_env_exits_2(self, capsys, tmp_path, monkeypatch, mode):
+        qfile = write_quiver(tmp_path / "q.json", make_quiver(["1", "2"], [("2", "1")]))
+        monkeypatch.setenv("GREENSEQ_NODE_CAP", "-1")
+        code, out, err = run(capsys, "search", qfile, "--mode", mode)
+        assert code == 2 and out == ""
+        assert "node_cap must not be negative" in err
+
     # quivers with an infinite green path: only the node budget ends the search
     INFINITE = {
         "kronecker": make_quiver(["1", "2"], [("1", "2", 2)]),

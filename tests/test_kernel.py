@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import green_runs
 from greenseq.decomposition import (
     check_step_shapes,
     construct_mgs,
@@ -31,15 +32,12 @@ from greenseq.oracle import (
     min_mgs_length,
 )
 from greenseq.quiver import (
-    MAX_SAFE_ENTRY,
-    Color,
     ConsecutiveRepeatError,
     IceQuiver,
     MutationSequence,
     Quiver,
     QuiverError,
     Verdict,
-    color,
     final_state,
     frame,
     is_green_sequence,
@@ -297,34 +295,6 @@ class TestBounds:
             tracemalloc.stop()
         assert verdict == Verdict(True)
         assert peak < 50 * 2**20
-
-
-@st.composite
-def green_runs(draw):
-    """A quiver on 1-6 vertices with multiplicities up to 2, and a random
-    green run of up to 8 steps from its framing.
-
-    The run stops early where no vertex is green, or where an entry has
-    reached MAX_SAFE_ENTRY: a few green steps can get there.
-    """
-    n = draw(st.integers(1, 6))
-    labels = tuple(f"v{i}" for i in range(n))
-    b = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i, j] = draw(st.integers(-2, 2))
-            b[j, i] = -b[i, j]
-    q = Quiver(labels, b)
-    steps: list[str] = []
-    for pick in draw(st.lists(st.integers(0, 5), max_size=8)):
-        state = final_state(frame(q), steps)
-        if np.abs(state.quiver.matrix).max() >= MAX_SAFE_ENTRY:
-            break  # the next step would be refused
-        green = [v for v in state.mutable if color(state, v) is Color.GREEN]
-        if not green:
-            break
-        steps.append(green[pick % len(green)])
-    return q, steps
 
 
 @FEW
