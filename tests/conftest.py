@@ -67,17 +67,22 @@ def green_steps(draw, q: Quiver, min_steps: int = 0, max_steps: int = 8) -> list
 
 
 @st.composite
-def green_runs(draw, max_n: int = 6):
-    """A quiver on 1-max_n vertices with multiplicities up to 2, and a
-    random green run from its framing (:func:`green_steps`)."""
+def small_quivers(draw, max_n: int = 5):
+    """Quivers on 1-max_n vertices with arrow multiplicities up to 2."""
     n = draw(st.integers(1, max_n))
-    labels = tuple(f"v{i}" for i in range(n))
     b = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
             b[i, j] = draw(st.integers(-2, 2))
             b[j, i] = -b[i, j]
-    q = Quiver(labels, b)
+    return Quiver(tuple(f"v{i}" for i in range(n)), b)
+
+
+@st.composite
+def green_runs(draw, max_n: int = 6):
+    """A quiver from :func:`small_quivers` and a random green run from its
+    framing (:func:`green_steps`)."""
+    q = draw(small_quivers(max_n))
     return q, green_steps(draw, q)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import green_runs, green_steps, random_acyclic_quiver
+from conftest import green_runs, green_steps, random_acyclic_quiver, small_quivers
 from greenseq.decomposition import (
     construct_mgs,
     random_decomposition,
@@ -28,7 +28,6 @@ from greenseq.oracle import (
     oracle_report,
 )
 from greenseq.quiver import (
-    Quiver,
     QuiverError,
     final_state,
     frame,
@@ -88,18 +87,6 @@ def enumerated(q, max_len, node_cap):
         if maximal
     ]
     return len(found), min(map(len, found), default=None), found
-
-
-@st.composite
-def small_quivers(draw):
-    """Quivers on 1-5 vertices with arrow multiplicities up to 2."""
-    n = draw(st.integers(1, 5))
-    b = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i, j] = draw(st.integers(-2, 2))
-            b[j, i] = -b[i, j]
-    return Quiver(tuple(f"v{i}" for i in range(n)), b)
 
 
 class TestEnumeration:
@@ -331,7 +318,8 @@ class TestStateKey:
     @staticmethod
     def assert_keys_match_relabellings(search, states):
         """Over every pair of distinct states: equal keys exactly when some
-        permutation p gives C2 = P C1 and B2 = P B1 P^T, by brute force."""
+        permutation matrix P gives C2 = P C1 and B2 = P B1 P^T, found by
+        trying every permutation."""
         keys = {b_and_c(state): search.key(state) for state in states}
         n = len(search.start[0])
         perms = list(itertools.permutations(range(n)))
