@@ -4,7 +4,6 @@ from .quiver import (
     Color,
     IceQuiver,
     MutationSequence,
-    Policy,
     Quiver,
     QuiverError,
     Verdict,

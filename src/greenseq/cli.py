@@ -279,9 +279,18 @@ def _cmd_export(args) -> int:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         state = frame(q)
+        if args.prefix is not None and not args.sequence:
+            raise CliError("--prefix needs --sequence")
         if args.sequence:
             seq = _load_sequence(args.sequence, args.order)
-            steps = seq.steps if args.prefix is None else seq.steps[: args.prefix]
+            steps = seq.steps
+            if args.prefix is not None:
+                if not 0 <= args.prefix <= len(steps):
+                    raise CliError(
+                        f"--prefix must be between 0 and the sequence length "
+                        f"{len(steps)}, got {args.prefix}"
+                    )
+                steps = steps[: args.prefix]
             try:
                 state = final_state(state, steps)
             except QuiverError as err:

@@ -32,7 +32,6 @@ import numpy as np
 from .quiver import (
     Label,
     MutationSequence,
-    Policy,
     Quiver,
     QuiverError,
     _framed_rows,
@@ -684,7 +683,7 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
     n = len(q.vertices)
     labels = q.vertices + tuple(frozen)
     problems: list[str] = []
-    for idx, v, k in _replay(rows, q.vertices, frozen, seq, Policy.UNCHECKED):
+    for idx, v, k in _replay(rows, q.vertices, frozen, seq, require_green=False):
         # the arrows at v in the framed quiver's vertex order
         for j, entry in sorted(rows[k].items(), key=lambda item: labels[item[0]]):
             w = labels[j]

@@ -19,16 +19,17 @@ a step back along a depth-first path is not counted.
 A state is the extended exchange matrix [B | C] in the sparse form of
 :mod:`greenseq.quiver`, one dict of nonzero entries per mutable vertex,
 together with the overflow flag the shared kernel returned when it made the
-state.  A move copies the list of rows and runs the kernel on the copy, so
-a child is copy-on-write: it shares every row with its parent except row k
-and the rows of k's neighbours.  The depth-first walks keep only the state
-at the end of their path and step back by mutating it again, since
-mutation is an involution.  One pass over the C entries of a state
-gives both its green moves and whether every row is red.  The memo of the
-dynamic programme and the visited set of the breadth-first search key a
-state by its c-vectors alone, sorted (:meth:`_Search.key`), so they solve
-each cluster once, not once per labelling of its seed; counts and minimal
-lengths do not depend on the labels.
+state.  The kernel writes in place, so a move copies the rows it writes
+and runs the kernel on the copy (:meth:`_Search.mutate`): a child shares
+the other rows with its parent.  The depth-first walks keep only the state
+at the end of their path and step back by mutating it again in place, since
+mutation is an involution; that writes only rows the step forward copied.
+One pass over the C entries of a state gives both its green moves and
+whether every row is red.  The memo of the dynamic programme and the
+visited set of the breadth-first search key a state by its c-vectors alone,
+sorted (:meth:`_Search.key`), so they solve each cluster once, not once per
+labelling of its seed; counts and minimal lengths do not depend on the
+labels.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class _Search:
         self.budget = _Budget(node_cap)
 
     def mutate(self, state: State, k: int) -> State:
+        """The child at row ``k``, made by the kernel on a copy of the list
+        of rows, row k and k's neighbour rows; ``state`` is left unchanged."""
         self.budget.spend()
         rows, unsafe = state
         if unsafe:
@@ -100,7 +103,11 @@ class _Search:
                 "arrow multiplicities exceed the safe search range"
             )
         child = rows.copy()
-        return child, _mutate_rows(child, k)
+        n = len(rows)
+        for i in (k, *rows[k]):
+            if i < n:
+                child[i] = rows[i].copy()
+        return child, _mutate_rows(child, k)[1]
 
     def colors(self, state: State) -> tuple[list[int], bool]:
         """The green rows in ascending order, and whether every row is red."""

@@ -22,9 +22,10 @@ frozen vertices).  For a framed quiver C starts as the identity and its rows
 are the c-vectors.  The frozen rows of the full matrix are minus the
 transpose of C, and the frozen-frozen block is zero, so [B | C] is the whole
 state.  A quiver of the Q^N kind is sparse, so one step costs
-O(deg(k) * nnz(row k)).  The kernel never writes into a row it is given: it
-replaces the rows it changes, so a copy of the list made beforehand keeps
-the old state and shares the untouched rows with the new one.
+O(deg(k) * nnz(row k)).  The kernel writes the rows it changes in place,
+and reads whether row k was green (a positive c-vector) off the split of
+row k by sign that the step makes anyway; a caller that keeps the old state
+copies those rows first.
 :func:`mutate`, the sequence checks, :func:`final_state`,
 ``decomposition.check_step_shapes`` and the search oracle all run this
 kernel; ``graph_rule`` is the one independent implementation, kept as a
@@ -100,11 +101,6 @@ _NO_MUTABLE = "ice quiver has no mutable vertices"
 class Color(enum.Enum):
     GREEN = "green"
     RED = "red"
-
-
-class Policy(enum.Enum):
-    UNCHECKED = "unchecked"
-    REQUIRE_GREEN = "require_green"
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -461,39 +457,40 @@ MAX_SAFE_ENTRY = 2**31
 _UNSAFE = "arrow multiplicities exceed the safe mutation range"
 
 
-def _mutate_rows(rows: Rows, k: int) -> bool:
-    """Mutate [B | C] at the vertex of row ``k``, replacing the changed rows.
+def _mutate_rows(rows: Rows, k: int) -> tuple[bool, bool]:
+    """Mutate [B | C] in place at the vertex of row ``k``.
 
     Row k and column k change sign; column k is read from row k, since
     b_ik = -b_ki.  Of the other rows only those of k's neighbours change:
     b_ij gains |b_ik| * b_kj where b_kj has the sign of b_ik.  That is the
     rule b_ij + sign(b_ik) * max(b_ik * b_kj, 0), in O(deg(k) * nnz(row k))
-    work.  Changed rows are replaced by new dicts and no dict of the input
-    is written, so a copy of ``rows`` made beforehand keeps the old state.
-    Returns True when a changed entry has reached MAX_SAFE_ENTRY, so that
-    mutating the result again could overflow.
+    work, written into row k and the rows of k's neighbours.  Returns
+    whether row k was green before the step, as :func:`_row_color` says,
+    read off the C part of the split of row k by sign; and whether a changed
+    entry has reached MAX_SAFE_ENTRY, so that another step could overflow.
     """
     row, n = rows[k], len(rows)
-    pos = [(j, b) for j, b in row.items() if b > 0]
-    neg = [(j, b) for j, b in row.items() if b < 0]
-    unsafe = False
-    for i, b_ki in row.items():
-        if i >= n:
+    pos, neg = [], []
+    for j, b_kj in row.items():  # split row k by sign and negate it
+        (pos if b_kj > 0 else neg).append((j, b_kj))
+        row[j] = -b_kj
+    was_pos = was_neg = unsafe = False
+    for i, b_ik in row.items():  # column i of row k now holds b_ik
+        if i >= n:  # a C entry: b_ki = -b_ik before the step
+            was_pos, was_neg = was_pos or b_ik < 0, was_neg or b_ik > 0
             continue
-        new = rows[i].copy()
-        new[k] = b_ki
-        a, part = (-b_ki, pos) if b_ki < 0 else (b_ki, neg)
+        row_i = rows[i]
+        row_i[k] = -b_ik
+        a, part = (b_ik, pos) if b_ik > 0 else (-b_ik, neg)
         for j, b_kj in part:
-            b_ij = new.get(j, 0) + a * b_kj
+            b_ij = row_i.get(j, 0) + a * b_kj
             if b_ij:
-                new[j] = b_ij
+                row_i[j] = b_ij
                 if not -MAX_SAFE_ENTRY < b_ij < MAX_SAFE_ENTRY:
                     unsafe = True
             else:
-                del new[j]
-        rows[i] = new
-    rows[k] = {j: -b for j, b in row.items()}
-    return unsafe
+                del row_i[j]
+    return was_pos and not was_neg, unsafe
 
 
 def _unsafe(rows: Rows) -> bool:
@@ -611,20 +608,19 @@ def _replay(
     mutable: Sequence[Label],
     frozen: Iterable[Label],
     seq: MutationSequence,
-    policy: Policy,
+    require_green: bool,
 ) -> Iterator[tuple[int, Label, int]]:
     """Run ``seq`` through the kernel on the rows of [B | C], one step at a time.
 
     ``mutable`` labels the rows and ``frozen`` is the frozen label set.
     Yields (step index, vertex, row) before each mutation, so a caller can
-    read the state the step starts from.  Under REQUIRE_GREEN the run halts
-    with NotGreenAtStepError at the first step whose vertex is not green.
-    A frozen or unknown vertex and an unsafe state raise at their step; no
-    state is kept.
+    read the state the step starts from.  With ``require_green`` the run
+    halts with NotGreenAtStepError after the first step whose vertex the
+    kernel reports not green.  A frozen or unknown vertex and an unsafe
+    state raise at their step, a vertex not green ahead of an unsafe state.
     """
     index = {v: i for i, v in enumerate(mutable)}
     frozen = frozenset(frozen)
-    n = len(rows)
     unsafe = _unsafe(rows)
     for idx, v in enumerate(seq):
         if v in frozen:
@@ -632,12 +628,14 @@ def _replay(
         k = index.get(v)
         if k is None:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-        if policy is Policy.REQUIRE_GREEN and _row_color(rows[k], n) is not Color.GREEN:
-            raise NotGreenAtStepError(idx, v)
         yield idx, v, k
         if unsafe:
+            if require_green and _row_color(rows[k], len(rows)) is not Color.GREEN:
+                raise NotGreenAtStepError(idx, v)
             raise QuiverError(_UNSAFE)
-        unsafe = _mutate_rows(rows, k)
+        green, unsafe = _mutate_rows(rows, k)
+        if require_green and not green:
+            raise NotGreenAtStepError(idx, v)
 
 
 def final_state(iq: IceQuiver, seq: Steps) -> IceQuiver:
@@ -647,7 +645,7 @@ def final_state(iq: IceQuiver, seq: Steps) -> IceQuiver:
     directly and keeps no intermediate state.
     """
     mutable, frozen, rows = _rows_of(iq)
-    for _ in _replay(rows, mutable, frozen, as_sequence(seq), Policy.UNCHECKED):
+    for _ in _replay(rows, mutable, frozen, as_sequence(seq), require_green=False):
         pass
     return _assemble(mutable, frozen, rows)
 
@@ -680,7 +678,7 @@ def _green_run(q: Quiver, seq: Steps) -> tuple[Verdict, Rows | None]:
         return Verdict(False, f"malformed sequence: {err}"), None
     try:
         frozen, rows = _framed_rows(q)
-        for _ in _replay(rows, q.vertices, frozen, sequence, Policy.REQUIRE_GREEN):
+        for _ in _replay(rows, q.vertices, frozen, sequence, require_green=True):
             pass
     except NotGreenAtStepError as err:
         return Verdict(False, "vertex not green", err.index, err.vertex), None

@@ -230,6 +230,22 @@ class TestVerify:
         assert report["maximal_green"] is False
         assert report["reason"] == "vertex still green"
 
+    def test_not_green_is_named_ahead_of_the_unsafe_range(self, capsys, tmp_path):
+        # the state before step 24 has reached the safe bound, and vertex 3
+        # is red there; the verdict names the colour, not the bound
+        qfile = write_quiver(
+            tmp_path / "q.json", make_quiver(["1", "2", "3"], [("1", "2", 3)])
+        )
+        sfile = tmp_path / "s.json"
+        steps = ["3"] + ["2", "1"] * 11 + ["2", "3"]
+        sfile.write_text(json.dumps({"steps": steps, "order": "execution"}))
+        code, out, _ = run(capsys, "verify", str(qfile), str(sfile))
+        assert code == 1
+        report = json.loads(out)
+        assert report["green"] is False
+        assert report["step_index"] == 24
+        assert report["vertex"] == "3"
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -492,6 +508,48 @@ class TestExport:
         assert code == 0
         assert out.count('fillcolor="red"') == 1
         assert out.count('fillcolor="green"') == 1
+
+    def a2_with_mgs(self, capsys, tmp_path):
+        """Files of linear A2 and its 2-step maximal green sequence."""
+        qfile = tmp_path / "q.json"
+        sfile = tmp_path / "s.json"
+        run(
+            capsys, "generate", "--family", "linear-a", "--n", "2",
+            "--quiver-out", str(qfile),
+        )
+        run(capsys, "mgs", str(qfile), "--sequence-out", str(sfile))
+        return str(qfile), str(sfile)
+
+    @pytest.mark.parametrize("prefix, same_as", [("0", None), ("2", "full")])
+    def test_prefix_at_either_end(self, capsys, tmp_path, prefix, same_as):
+        qfile, sfile = self.a2_with_mgs(capsys, tmp_path)
+        dot = ["export", qfile, "--format", "dot"]
+        want = run(capsys, *dot, *(["--sequence", sfile] if same_as else []))[1]
+        code, out, _ = run(capsys, *dot, "--sequence", sfile, "--prefix", prefix)
+        assert code == 0
+        assert out == want
+
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [("-1", "got -1"), ("5", "sequence length 2, got 5")],
+        ids=["negative", "beyond-length"],
+    )
+    def test_prefix_out_of_range_exits_2(self, capsys, tmp_path, prefix, message):
+        qfile, sfile = self.a2_with_mgs(capsys, tmp_path)
+        code, out, err = run(
+            capsys, "export", qfile, "--format", "dot",
+            "--sequence", sfile, "--prefix", prefix,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_prefix_without_sequence_exits_2(self, capsys, tmp_path):
+        qfile, _ = self.a2_with_mgs(capsys, tmp_path)
+        code, out, err = run(capsys, "export", qfile, "--format", "dot", "--prefix", "1")
+        assert code == 2
+        assert out == ""
+        assert "--prefix needs --sequence" in err
 
     def test_json_round_trip_identity(self, capsys, tmp_path):
         qfile = tmp_path / "q.json"

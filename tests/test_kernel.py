@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import green_runs
+from conftest import green_runs, small_quivers
 from greenseq.decomposition import (
     check_step_shapes,
     construct_mgs,
@@ -32,6 +32,7 @@ from greenseq.oracle import (
     min_mgs_length,
 )
 from greenseq.quiver import (
+    Color,
     ConsecutiveRepeatError,
     IceQuiver,
     MutationSequence,
@@ -44,6 +45,10 @@ from greenseq.quiver import (
     is_maximal_green_sequence,
     make_quiver,
     mutate,
+    _assemble,
+    _mutate_rows,
+    _row_color,
+    _rows_of,
 )
 
 FEW = settings(
@@ -182,6 +187,27 @@ class TestMutate:
         assert run(final_state) == run(lambda iq, s: stepwise_states(iq, s)[-1])
 
 
+@FEW
+@given(
+    st.one_of(small_quivers().map(frame), ice_quivers()),
+    st.lists(st.integers(0, 6), min_size=1, max_size=8),
+)
+def test_kernel_flag_is_the_colour_before_the_step(iq, picks):
+    """On any step, green or not, the kernel's flag is the colour of row k
+    before the step, and the rows after it are the graph rule's state."""
+    mutable, frozen, rows = _rows_of(iq)
+    n = len(rows)
+    for pick in picks:
+        k = pick % n
+        want = _row_color(rows[k], n) is Color.GREEN
+        green, unsafe = _mutate_rows(rows, k)
+        assert green == want
+        iq = mutate_by_graph_rule(iq, mutable[k])
+        assert _assemble(mutable, frozen, rows) == iq
+        if unsafe:
+            break
+
+
 def stepwise_states(iq: IceQuiver, steps) -> list[IceQuiver]:
     """The start state and the state after each step, one public ``mutate`` per step."""
     states = [iq]
@@ -257,6 +283,15 @@ class TestBounds:
         assert is_green_sequence(self.KRONECKER_3, steps) == unsafe
         assert is_maximal_green_sequence(self.KRONECKER_3, steps) == unsafe
         assert is_green_sequence(self.KRONECKER_3, ["2", "1"] * 10)
+
+    def test_not_green_is_named_ahead_of_the_unsafe_range(self):
+        # the 3-Kronecker run flags the state before step 24 unsafe, and
+        # vertex 3 is red there: the colour is named, not the bound
+        q = make_quiver(["1", "2", "3"], [("1", "2", 3)])
+        steps = ["3"] + ["2", "1"] * 11 + ["2", "3"]
+        not_green = Verdict(False, "vertex not green", 24, "3")
+        assert is_green_sequence(q, steps) == not_green
+        assert is_maximal_green_sequence(q, steps) == not_green
 
     # an arrow of multiplicity 2**31 makes the start state itself unsafe;
     # on the 3-Kronecker quiver the breadth-first and iterative-deepening

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
+from collections import deque
 from math import comb
 
 import numpy as np
@@ -21,7 +23,11 @@ from greenseq.families import linear_a
 from greenseq.fixtures import fig8_quiver
 from greenseq.oracle import (
     BudgetExceededError,
+    _count_dp,
+    _min_bfs,
+    _min_iddfs,
     _Search,
+    _walk,
     count_mgs,
     enumerate_green_sequences,
     min_mgs_length,
@@ -417,3 +423,43 @@ class TestAllRedLeaves:
             assert sorted((-c).tolist(), reverse=True) == np.eye(n, dtype=int).tolist()
             assert search.key(oracle_state(search, q, steps)) == all_red
         assert limit is None or len(sequences) == limit
+
+
+class TestCopyOnWrite:
+    """``_Search.mutate`` copies the rows the in-place kernel writes, so a
+    parent state is never changed by making a child, and the engines, which
+    step back in place, leave the start state as they found it."""
+
+    ENGINES = {
+        "count": _count_dp,
+        "walk": lambda search: deque(_walk(search), maxlen=0),
+        "bfs": _min_bfs,
+        "iddfs": _min_iddfs,
+    }
+
+    @KEYS
+    @given(green_runs())
+    def test_mutate_leaves_its_input_unchanged(self, run):
+        q, steps = run
+        search = _Search(q, None, 10**4, 8)
+        state = oracle_state(search, q, steps)
+        before = copy.deepcopy(state)
+        if not state[1]:  # an unsafe state has no children
+            for k in range(len(q.vertices)):  # green or not
+                search.mutate(state, k)
+                assert state == before
+
+    @KEYS
+    @given(green_runs())
+    def test_engines_leave_the_start_unchanged(self, run):
+        q, steps = run
+        for name, engine in self.ENGINES.items():
+            search = _Search(q, 4, 2000, 8)
+            # start mid-run, so the start shares its rows with other states
+            search.start = oracle_state(search, q, steps)
+            before = copy.deepcopy(search.start)
+            try:
+                engine(search)
+            except BudgetExceededError:
+                pass
+            assert search.start == before, name
