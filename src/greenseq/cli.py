@@ -275,6 +275,9 @@ def _cmd_search(args) -> int:
 def _cmd_export(args) -> int:
     q = _load_plain_quiver(args.quiver)
     if args.format == "json":
+        for flag, value in (("--sequence", args.sequence), ("--prefix", args.prefix)):
+            if value is not None:
+                raise CliError(f"{flag} applies only to --format dot")
         report = quiver_to_dict(q)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("quiver")
     exp.add_argument("--format", choices=["dot", "json"], required=True)
     exp.add_argument("--sequence", help="apply this sequence before DOT export")
-    exp.add_argument("--prefix", type=int, help="apply only the first K steps")
+    exp.add_argument("--prefix", type=int, help="apply only the first K steps of --sequence")
     exp.add_argument(
         "--order", choices=["execution", "composition"], default="execution"
     )

@@ -154,9 +154,10 @@ class ChainDecomposition:
     ``chains[i]`` lists chain i+1 from position 1 (sink end) upward.  Oblique
     ends may be vertex labels or ChainVertex pairs; the constructor resolves
     them to ints (see :class:`_Layout`) and checks every rule once, on the
-    ints.  ``obliques`` builds its ChainVertex pairs when read.  The vertex
-    partial order and the underlying quiver are computed on first use and
-    cached; instances are immutable by convention.
+    ints, keeping the chain pairs' zigzag paths that the check walks for
+    the vertex order.  ``obliques`` builds its ChainVertex pairs when read.
+    The vertex partial order and the underlying quiver are computed on
+    first use and cached; instances are immutable by convention.
     """
 
     def __init__(self, chains: Iterable[Iterable[Label]], obliques: Iterable[tuple]):
@@ -170,7 +171,7 @@ class ChainDecomposition:
             unknown = _unknown_end(
                 sorted(ends, key=lambda p: [vertex(e) if isinstance(e, int) else e for e in p])
             )
-        violations = _violations(self._layout, self._labels, ends, unknown)
+        violations, self._paths = _violations(self._layout, self._labels, ends, unknown)
         if violations:
             first = violations[0]
             if first.code not in _ERROR_BY_CODE:
@@ -256,7 +257,7 @@ def validate_chains(
     layout = _Layout(len(c) for c in chains)
     ends = [(layout.find(src), layout.find(dst)) for src, dst in obliques]
     labels = [v for chain in chains for v in chain]
-    return _violations(layout, labels, ends, _unknown_end(ends))
+    return _violations(layout, labels, ends, _unknown_end(ends))[0]
 
 
 def _unknown_end(ends: list[tuple]) -> ChainVertex | None:
@@ -281,19 +282,21 @@ def _violations(
     labels: Sequence[Label],
     ends: list[tuple[int, int]],
     unknown: ChainVertex | None = None,
-) -> list[Violation]:
-    """Every broken rule of the int obliques ``ends`` over ``layout``.
+) -> tuple[list[Violation], list[list[int]]]:
+    """Every broken rule of the int obliques ``ends`` over ``layout``, and the zigzags.
 
     ``unknown`` is an oblique end outside the layout; after a repeated label
     and an empty decomposition it is the only violation reported.  Every
-    other message names its vertices as ChainVertex values.
+    other message names its vertices as ChainVertex values.  The zigzags
+    are the valid chain pairs' paths, in (smaller, larger) chain order;
+    :func:`cover_relations` reads them off a valid decomposition.
     """
     if len(set(labels)) != len(labels):
-        return [Violation("duplicate-vertex", "vertex-map", "chains repeat a vertex label")]
+        return [Violation("duplicate-vertex", "vertex-map", "chains repeat a vertex label")], []
     if not labels:
-        return [Violation("disconnected", "connected", "no vertices")]
+        return [Violation("disconnected", "connected", "no vertices")], []
     if unknown is not None:
-        return [Violation("unknown-vertex", "vertex-map", f"no such chain vertex {unknown}")]
+        return [Violation("unknown-vertex", "vertex-map", f"no such chain vertex {unknown}")], []
     chain_of, vertex = layout.chain_of, layout.vertex
     out = [
         Violation(
@@ -305,10 +308,13 @@ def _violations(
         if chain_of[src] == chain_of[dst]
     ]
     by_pair = _by_pair(chain_of, ends)
+    paths = []
     for _, arrows in sorted(by_pair.items()):
         path = _zigzag(layout, arrows)
         if isinstance(path, Violation):
             out.append(path)
+        else:
+            paths.append(path)
 
     # Chain-adjacency graph must be a forest; with connectivity, a tree.
     parent = list(range(len(layout.lengths) + 1))
@@ -340,7 +346,7 @@ def _violations(
                 f"chain-adjacency graph has {len(roots)} components",
             )
         )
-    return out
+    return out, paths
 
 
 def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Violation:
@@ -365,17 +371,13 @@ def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Viola
         if dst in entered:
             return broken("non-alternating-path", f"two obliques enter {vertex(dst)}")
         entered.add(dst)
-    split = broken("multiple-paths-between-chains", "obliques split into several paths")
-    sources = [v for v in outgoing if v not in entered]
-    if len(sources) != 1:
-        return split
-    # from the one source, with every in-degree at most 1, the walk never
-    # revisits a vertex; a cycle apart from the path leaves vertices unvisited
-    path = [sources[0]]
-    while path[-1] in outgoing:
+    # from a source, with every in-degree at most 1, the walk never revisits
+    # a vertex; it takes every arrow only when it is the one path
+    path = [v for v in outgoing if v not in entered][:1]
+    while path and path[-1] in outgoing:
         path.append(outgoing[path[-1]])
-    if len(path) != len(outgoing.keys() | entered):
-        return split
+    if len(path) != len(arrows) + 1:
+        return broken("multiple-paths-between-chains", "obliques split into several paths")
     last: dict[int, int] = {}
     for x in path:
         if x <= last.get(chain_of[x], -1):
@@ -444,7 +446,7 @@ def decompose_with_chains(
             vertical.add((high, low))
     index = dec._index
     ends = [(index[u], index[v]) for u, v, _ in q.arrows() if (u, v) not in vertical]
-    violations = _violations(dec._layout, dec._labels, ends)
+    violations, dec._paths = _violations(dec._layout, dec._labels, ends)
     if violations:
         raise ValidationFailedError(violations)
     dec._obliques = tuple(sorted(ends))
@@ -456,8 +458,11 @@ class OrderRelation:
 
     The vertices are the ints 0..n-1 of a :class:`_Layout`, in (chain,
     position) order: a vertex's int is its chain offset plus its position
-    minus 1.  Covers and the extension are stored as ints; ``vertices``,
-    ``covers`` and ``extension`` build their ChainVertex tuples when read.
+    minus 1.  The covers are stored as given, in the given order, so a
+    repeated cover is stored twice (it changes no answer); the ones
+    :func:`cover_relations` gives are distinct.  Covers and the extension
+    are stored as ints; ``vertices``, ``covers`` and ``extension`` build
+    their ChainVertex tuples when read.
     The extension is computed once by Kahn's algorithm over the covers,
     with a heap of ready ints, so ties break by smallest chain, then
     smallest position.  A cycle among the covers (a self-cover included)
@@ -469,7 +474,7 @@ class OrderRelation:
     def __init__(self, layout: _Layout, covers: Iterable[tuple[int, int]]):
         n = len(layout.chain_of)
         self._layout = layout
-        self._covers = tuple(dict.fromkeys(covers))
+        self._covers = tuple(covers)
         self._below: list[list[int]] = [[] for _ in range(n)]
         above = [0] * n
         for hi, lo in self._covers:
@@ -518,51 +523,51 @@ class OrderRelation:
         return False
 
 
-def _pair_order_lines(
-    layout: _Layout, pair_arrows: list[tuple[int, int]]
-) -> list[list[int]]:
-    """Descending runs of vertex ints read off one chain pair's zigzag.
+def _junction_covers(layout: _Layout, path: list[int]) -> list[tuple[int, int]]:
+    """The covers where the order crosses between one chain pair's chains.
 
-    The zigzag starts by leaving chain i.  When its last arrow enters the
-    other chain j, the tail of chain i below the zigzag precedes the tail
-    of chain j; when it re-enters chain i, the roles of the tails swap.
-    Consecutive entries of every returned run are cover relations.
+    ``path`` is the pair's zigzag; it leaves chain i first and alternates,
+    so ``path[0::2]`` lies on chain i and ``path[1::2]`` on chain j.  The
+    order descends in runs read off the zigzag.  When its last arrow enters
+    chain j, the tail of chain i below the zigzag precedes the tail of
+    chain j; when it re-enters chain i, the roles of the tails swap.  Inside
+    a run, each step within one chain is a chain cover (i, i + 1), which
+    :func:`cover_relations` lists once for all chains.  Only the steps from
+    one chain to the other are returned, in run order; none repeats.
     """
-    path = _zigzag(layout, pair_arrows)  # a path: the decomposition is valid
-    chain_of = layout.chain_of
-    ci, cj = chain_of[path[0]], chain_of[path[1]]
-    a = [x for x in path if chain_of[x] == ci]
-    b = [x for x in path if chain_of[x] == cj]
-    end_i, end_j = layout.offsets[ci], layout.offsets[cj]  # one past each chain
-    prev_b = layout.offsets[cj - 1] - 1  # the int just below chain j
-
-    lines: list[list[int]] = []
-    if chain_of[path[-1]] == cj:
-        for x, y in zip(a, b):
-            lines.append([x, *range(prev_b + 1, y + 1)])
-            prev_b = y
-        for l in range(len(b) - 1):
-            lines.append([b[l], *range(a[l] + 1, a[l + 1] + 1)])
-        lines.append([b[-1], *range(a[-1] + 1, end_i), *range(b[-1] + 1, end_j)])
+    chain_of, offsets = layout.chain_of, layout.offsets
+    a, b = path[0::2], path[1::2]
+    below_b = [offsets[chain_of[b[0]] - 1] - 1, *b]  # the int below each run on chain j
+    if len(path) % 2 == 0:  # the last arrow enters chain j
+        covers = [(x, y + 1) for x, y in zip(a, below_b)]
+        covers += [(y, x + 1) for x, y in zip(a, b[:-1])]
     else:
-        for l, y in enumerate(b):
-            lines.append([a[l], *range(prev_b + 1, y + 1)])
-            lines.append([y, *range(a[l] + 1, a[l + 1] + 1)])
-            prev_b = y
-        lines.append([a[-1], *range(b[-1] + 1, end_j), *range(a[-1] + 1, end_i)])
-    return lines
+        covers = [c for x, y, z in zip(a, below_b, b) for c in ((x, y + 1), (z, x + 1))]
+    # the last run: the path's end, then the other chain's tail, then its own
+    top, other = path[-1], path[-2]
+    end_other = offsets[chain_of[other]]  # one past the other chain
+    if other + 1 < end_other:
+        covers.append((top, other + 1))
+        if top + 1 < offsets[chain_of[top]]:
+            covers.append((end_other - 1, top + 1))
+    return covers
 
 
 def cover_relations(dec: ChainDecomposition) -> OrderRelation:
-    """The vertex partial order: within-chain covers plus per-pair zigzag covers."""
+    """The vertex partial order from its covers, each listed once.
+
+    The within-chain covers (i, i + 1) come first, in int order, then each
+    chain pair's junction covers (:func:`_junction_covers`), in (smaller,
+    larger) chain order.  The zigzags are the paths the decomposition's
+    validation walked; none is walked again here.
+    """
     layout = dec._layout
     chain_of = layout.chain_of
     covers = [
         (i, i + 1) for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]
     ]
-    for _, arrows in sorted(_by_pair(chain_of, dec._obliques).items()):
-        for line in _pair_order_lines(layout, arrows):
-            covers.extend(zip(line, line[1:]))
+    for path in dec._paths:
+        covers += _junction_covers(layout, path)
     return OrderRelation(layout, covers)
 
 
@@ -622,14 +627,8 @@ def two_chain_mgs(dec: ChainDecomposition) -> MutationSequence:
     """
     if dec.n_chains != 2:
         raise NotTwoChainsError(f"need exactly 2 chains, got {dec.n_chains}")
-    arrows = list(dec.obliques)
-    outgoing = {src: dst for src, dst in arrows}
-    indegree = {dst for _, dst in arrows}
-    start = next(src for src, _ in arrows if src not in indegree)
-    path = [start]
-    while path[-1] in outgoing:
-        path.append(outgoing[path[-1]])
-    ci, cj = start.chain, path[1].chain
+    path = [dec._layout.vertex(x) for x in dec._paths[0]]  # the one zigzag
+    ci, cj = path[0].chain, path[1].chain
     a = [cv.position for cv in path if cv.chain == ci]
     b = [cv.position for cv in path if cv.chain == cj]
     k_i = len(dec.chains[ci - 1])

@@ -551,6 +551,27 @@ class TestExport:
         assert out == ""
         assert "--prefix needs --sequence" in err
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--sequence", "SEQ"], "--sequence"),
+            (["--sequence", "MISSING"], "--sequence"),
+            (["--prefix", "1"], "--prefix"),
+            (["--prefix", "-7"], "--prefix"),
+            (["--sequence", "MISSING", "--prefix", "-7"], "--sequence"),
+        ],
+        ids=["sequence", "missing-sequence", "prefix", "negative-prefix", "both"],
+    )
+    def test_json_refuses_dot_only_flags(self, capsys, tmp_path, extra, flag):
+        # --format json prints the quiver alone; a flag that only DOT reads exits 2
+        qfile, sfile = self.a2_with_mgs(capsys, tmp_path)
+        files = {"SEQ": sfile, "MISSING": str(tmp_path / "missing.json")}
+        argv = [files.get(a, a) for a in extra]
+        code, out, err = run(capsys, "export", qfile, "--format", "json", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} applies only to --format dot" in err
+
     def test_json_round_trip_identity(self, capsys, tmp_path):
         qfile = tmp_path / "q.json"
         run(capsys, "generate", "--fixture", "fig7", "--quiver-out", str(qfile))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenseq import quiver
+from greenseq import decomposition, quiver
 from greenseq.decomposition import (
     ChainGraphCycleError,
     ChainVertex,
@@ -38,7 +38,9 @@ from greenseq.decomposition import (
     underlying_quiver,
     validate_chains,
 )
+from greenseq.families import auto_decompose
 from greenseq.fixtures import (
+    FIXTURE_QUIVERS,
     THREE_CHAIN_CHAINS,
     THREE_CHAIN_ORDER_AB,
     THREE_CHAIN_ORDER_BC,
@@ -365,6 +367,119 @@ class TestOrderAgainstBruteForce:
         for chain in dec.chains:
             for position, label in enumerate(chain, start=1):
                 assert seen[label] == len(chain) - position + 1
+
+
+def full_run_covers(dec) -> list[tuple[int, int]]:
+    """The covers as whole descending runs gave them, deduplicated, in first-seen order.
+
+    Each chain pair's zigzag is walked afresh from the obliques.  Every run
+    read off it contributes all its consecutive pairs, within-chain steps
+    included, after the within-chain covers (i, i + 1).
+    """
+    layout = dec._layout
+    chain_of = layout.chain_of
+    covers = [(i, i + 1) for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]]
+    by_pair: dict[tuple[int, int], dict[int, int]] = {}
+    for src, dst in dec._obliques:
+        pair = tuple(sorted((chain_of[src], chain_of[dst])))
+        by_pair.setdefault(pair, {})[src] = dst
+    for _, outgoing in sorted(by_pair.items()):
+        path = [next(v for v in outgoing if v not in outgoing.values())]
+        while path[-1] in outgoing:
+            path.append(outgoing[path[-1]])
+        ci, cj = chain_of[path[0]], chain_of[path[1]]
+        a = [x for x in path if chain_of[x] == ci]
+        b = [x for x in path if chain_of[x] == cj]
+        end_i, end_j = layout.offsets[ci], layout.offsets[cj]
+        prev_b = layout.offsets[cj - 1] - 1
+        lines = []
+        if chain_of[path[-1]] == cj:
+            for x, y in zip(a, b):
+                lines.append([x, *range(prev_b + 1, y + 1)])
+                prev_b = y
+            for l in range(len(b) - 1):
+                lines.append([b[l], *range(a[l] + 1, a[l + 1] + 1)])
+            lines.append([b[-1], *range(a[-1] + 1, end_i), *range(b[-1] + 1, end_j)])
+        else:
+            for l, y in enumerate(b):
+                lines.append([a[l], *range(prev_b + 1, y + 1)])
+                lines.append([y, *range(a[l] + 1, a[l + 1] + 1)])
+                prev_b = y
+            lines.append([a[-1], *range(b[-1] + 1, end_j), *range(a[-1] + 1, end_i)])
+        for line in lines:
+            covers.extend(zip(line, line[1:]))
+    return list(dict.fromkeys(covers))
+
+
+def assert_order_matches_full_runs(dec) -> None:
+    want = OrderRelation(dec._layout, full_run_covers(dec))
+    rel = dec.order()
+    assert rel.covers == want.covers
+    assert rel.extension == want.extension
+
+
+class TestOrderAgainstFullRuns:
+    """The junction covers give the order the whole runs gave, cover for cover."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=decomposition_params())
+    def test_random_decompositions(self, params):
+        assert_order_matches_full_runs(random_decomposition(*params))
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=decomposition_params())
+    def test_presented_random_decompositions(self, params):
+        dec = random_decomposition(*params)
+        assert_order_matches_full_runs(decompose_with_chains(underlying_quiver(dec), dec.chains))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_QUIVERS))
+    def test_auto_decomposed_fixtures(self, name):
+        _, dec = auto_decompose(FIXTURE_QUIVERS[name]())
+        assert_order_matches_full_runs(dec)
+
+    def test_both_zigzag_endings(self):
+        # x2 -> y1 -> x4 ends on chain y; x2 -> y1 -> x4 -> y2 -> x5 on chain x
+        chains = [["x1", "x2", "x3", "x4", "x5"], ["y1", "y2", "y3", "y4"]]
+        for obliques in (
+            [("x2", "y1"), ("y1", "x4")],
+            [("x2", "y1"), ("y1", "x4"), ("x4", "y2"), ("y2", "x5")],
+        ):
+            assert_order_matches_full_runs(build_decomposition(chains, obliques))
+
+
+class TestOrderWork:
+    def test_each_zigzag_walked_once(self, monkeypatch):
+        # from a JSON dict to the constructed MGS, each chain pair's zigzag
+        # is walked once, by the validation
+        dec = random_decomposition(5, 30, 400)
+        pairs = {frozenset((src.chain, dst.chain)) for src, dst in dec.obliques}
+        data = decomposition_to_dict(dec)
+        walked = Counter()
+        real = decomposition._zigzag
+
+        def counted(layout, arrows):
+            walked[frozenset(layout.chain_of[x] for x in arrows[0])] += 1
+            return real(layout, arrows)
+
+        monkeypatch.setattr(decomposition, "_zigzag", counted)
+        construct_mgs(decomposition_from_dict(data))
+        assert len(pairs) == 29  # the edges of a tree on 30 chains
+        assert walked == Counter(dict.fromkeys(pairs, 1))
+
+    def test_cover_list_has_no_repeats(self, monkeypatch):
+        handed = []
+        real = decomposition.OrderRelation
+
+        def recorded(layout, covers):
+            handed.append(list(covers))
+            return real(layout, handed[-1])
+
+        monkeypatch.setattr(decomposition, "OrderRelation", recorded)
+        for seed in range(40):
+            construct_mgs(random_decomposition(900 + seed, seed % 10 + 1, 120))
+        assert len(handed) == 40
+        for covers in handed:
+            assert len(set(covers)) == len(covers)
 
 
 class TestAssociatedSequences:
