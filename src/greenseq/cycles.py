@@ -70,7 +70,7 @@ def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:
     """
     if not q.is_connected() or len(q.vertices) == 0:
         return None
-    if (q.matrix > 1).any():
+    if q.max_multiplicity() > 1:
         return None
     cycles = [oriented_cycle(q, block) for block in blocks(q)]
     if None in cycles:

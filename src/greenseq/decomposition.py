@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .quiver import (
     Label,
     MutationSequence,
@@ -394,20 +392,17 @@ def underlying_quiver(dec: ChainDecomposition) -> Quiver:
 
     Built on first use straight from the chains and obliques, then cached.
     Validation already ruled out loops, 2-cycles and repeated labels, so
-    the matrix is filled without the checks of :func:`make_quiver`.
+    the arrows are taken without the checks of :func:`make_quiver`.
     """
     if dec._quiver is None:
         order = tuple(sorted(dec._labels))
         index = {v: i for i, v in enumerate(order)}
-        place = np.array([index[v] for v in dec._labels], dtype=np.intp)
+        place = [index[v] for v in dec._labels]
         chain_of = dec._layout.chain_of
         low = [i for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]]
-        src = place[[i + 1 for i in low] + [s for s, _ in dec._obliques]]
-        dst = place[low + [d for _, d in dec._obliques]]
-        b = np.zeros((len(order), len(order)), dtype=np.int64)
-        b[src, dst] = 1
-        b[dst, src] = -1
-        dec._quiver = Quiver._trusted(order, b, index)
+        ends = [(i + 1, i) for i in low] + list(dec._obliques)
+        arrows = sorted((place[src], place[dst], 1) for src, dst in ends)
+        dec._quiver = Quiver._trusted(order, arrows, index)
     return dec._quiver
 
 
@@ -426,7 +421,7 @@ def decompose_with_chains(
         raise ValidationFailedError(
             [Violation("vertex-map", "vertex-map", "chains do not partition the vertex set")]
         )
-    if (q.matrix > 1).any():
+    if q.max_multiplicity() > 1:
         raise ValidationFailedError(
             [Violation("multiplicity", "vertical-chains", "arrow multiplicity above 1")]
         )

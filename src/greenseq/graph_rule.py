@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .quiver import FrozenVertexMutationError, IceQuiver, Label, Quiver
+from .quiver import FrozenVertexMutationError, IceQuiver, Label, Quiver, make_quiver
 
 ArrowMap = dict[tuple[Label, Label], int]
 
@@ -63,10 +61,5 @@ def mutate_arrows(
 def mutate_by_graph_rule(iq: IceQuiver, k: Label) -> IceQuiver:
     """Mutation via the arrow-multiset rule, returned as an ice quiver."""
     new = mutate_arrows(arrows_of(iq.quiver), iq.frozen, k)
-    order = iq.quiver.vertices
-    index = {v: i for i, v in enumerate(order)}
-    b = np.zeros((len(order), len(order)), dtype=np.int64)
-    for (u, v), m in new.items():
-        b[index[u], index[v]] += m
-        b[index[v], index[u]] -= m
-    return IceQuiver(Quiver(order, b), iq.frozen)
+    arrows = [(u, v, m) for (u, v), m in new.items()]
+    return IceQuiver(make_quiver(iq.quiver.vertices, arrows), iq.frozen)

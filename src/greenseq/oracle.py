@@ -129,9 +129,9 @@ class _Search:
         duality) and has distinct rows, so two states share a key exactly
         when one relabels the other: C2 = P C1 and B2 = P B1 P^T for a
         permutation matrix P.  Entries fit in int64: a start state comes
-        from an int64 matrix, and a child is made only from a parent not
-        flagged unsafe, whose entries are below 2^31, so its own are below
-        2^31 + 2^62.
+        from a quiver, whose multiplicities do, and a child is made only
+        from a parent not flagged unsafe, whose entries are below 2^31, so
+        its own are below 2^31 + 2^62.
         """
         rows = state[0]
         n = len(rows)

@@ -1,17 +1,18 @@
 """Quivers, ice quivers, Fomin-Zelevinsky mutation, and green-sequence checks.
 
 A quiver is a finite directed graph without loops or 2-cycles.  It is stored
-as a skew-symmetric integer matrix over a lexicographically sorted vertex
-list: ``b[u][v]`` equals the number of arrows u -> v minus the number of
-arrows v -> u, so between any ordered pair at most one direction carries
-arrows.  An ice quiver additionally distinguishes a frozen vertex subset with
-no arrows between frozen vertices.
+as its sorted (source, target, multiplicity) arrow triples over a
+lexicographically sorted vertex list, by vertex index; between any pair at
+most one direction carries arrows.  Its skew-symmetric exchange matrix
+(``b[u][v]`` = arrows u -> v minus arrows v -> u) is built only when a
+caller reads ``Quiver.matrix``.  An ice quiver additionally distinguishes a
+frozen vertex subset with no arrows between frozen vertices.
 
 The public values are immutable; every public operation returns a new value,
 which makes them safe to share across threads or executors.  So a quiver
-reads its arrows off the matrix once, on first use, into int adjacency
-lists that ``arrows``, the neighbour accessors, ``is_connected`` and the
-biconnected blocks (``cycles.blocks``) share, and keeps the blocks too.
+reads its arrows once, on first use, into int adjacency lists that the
+neighbour accessors, ``b``, ``is_connected`` and the biconnected blocks
+(``cycles.blocks``) share, and keeps the blocks too.
 
 Underneath, one private kernel (:func:`_mutate_rows`) mutates the extended
 exchange matrix [B | C] in sparse form: a list with one ``dict`` per mutable
@@ -103,78 +104,92 @@ class Color(enum.Enum):
     RED = "red"
 
 
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(matrix, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+Arrow = tuple[int, int, int]
 
 
 class _Adjacency(NamedTuple):
-    """A quiver's arrows and neighbours, by vertex index.
+    """A quiver's neighbours and arrow weights, by vertex index.
 
-    ``arrows`` lists (source, target, multiplicity) in row-major order,
-    which is sorted; ``outs``, ``ins`` and ``nbrs`` hold each vertex's
-    ascending out-, in- and undirected neighbour indices.
+    ``outs``, ``ins`` and ``nbrs`` hold each vertex's ascending out-, in-
+    and undirected neighbour indices; ``weight`` maps (i, j) to the
+    multiplicity of the arrow i -> j.
     """
 
-    arrows: list[tuple[int, int, int]]
     outs: list[list[int]]
     ins: list[list[int]]
     nbrs: list[list[int]]
+    weight: dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Quiver:
-    """Finite quiver without loops or 2-cycles, in exchange-matrix form.
+    """Finite quiver without loops or 2-cycles, stored as its arrows.
 
     ``vertices`` is sorted lexicographically and fixes all iteration order.
-    Equality is labeled equality: same vertex labels, same matrix.
+    Equality is labeled equality: same vertex labels, same arrows.
     """
 
     vertices: tuple[Label, ...]
-    matrix: np.ndarray
+    _arrows: tuple[Arrow, ...]
+    _index: dict[Label, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
+    def __init__(self, vertices: Sequence[Label], matrix: np.ndarray) -> None:
+        """The checked constructor, from a skew-symmetric integer matrix.
+
+        Validates the matrix as input from outside, in O(n^2), and reads
+        the arrows off it once; the library itself builds quivers from
+        arrows (:func:`make_quiver`).
+        """
+        vertices, matrix = tuple(vertices), np.asarray(matrix, dtype=np.int64)
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise DuplicateVertexError("duplicate vertex labels")
-        if list(self.vertices) != sorted(self.vertices):
+        if list(vertices) != sorted(vertices):
             raise QuiverError("vertices must be sorted lexicographically")
-        if self.matrix.shape != (n, n):
+        if matrix.shape != (n, n):
             raise QuiverError("matrix shape does not match vertex count")
-        if np.any(np.diagonal(self.matrix) != 0):
+        if np.any(np.diagonal(matrix) != 0):
             raise LoopArrowError("nonzero diagonal entry")
-        if np.any(self.matrix != -self.matrix.T):
+        if np.any(matrix != -matrix.T):
             raise QuiverError("matrix is not skew-symmetric")
-        object.__setattr__(
-            self, "_index", {v: i for i, v in enumerate(self.vertices)}
-        )
+        rows, cols = np.nonzero(matrix > 0)
+        arrows = zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
+        index = {v: i for i, v in enumerate(vertices)}
+        vars(self).update(vertices=vertices, _arrows=tuple(arrows), _index=index)
 
     @classmethod
     def _trusted(
-        cls, vertices: tuple[Label, ...], matrix: np.ndarray, index: dict[Label, int]
+        cls, vertices: tuple[Label, ...], arrows: Iterable[Arrow], index: dict[Label, int]
     ) -> "Quiver":
-        """A quiver from parts known to be valid; takes ``matrix`` over unchecked."""
+        """A quiver from parts known to be valid; takes ``arrows``, sorted
+        (source, target, multiplicity) index triples, over unchecked."""
         q = object.__new__(cls)
-        matrix.setflags(write=False)
-        object.__setattr__(q, "vertices", vertices)
-        object.__setattr__(q, "matrix", matrix)
-        object.__setattr__(q, "_index", index)
+        vars(q).update(vertices=vertices, _arrows=tuple(arrows), _index=index)
         return q
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Quiver):
             return NotImplemented
-        return self.vertices == other.vertices and np.array_equal(
-            self.matrix, other.matrix
-        )
+        return self.vertices == other.vertices and self._arrows == other._arrows
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.matrix.tobytes()))
+        return hash((self.vertices, self._arrows))
 
     def __repr__(self) -> str:
-        return f"Quiver({len(self.vertices)} vertices, {len(self.arrows())} arrows)"
+        return f"Quiver({len(self.vertices)} vertices, {len(self._arrows)} arrows)"
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The skew-symmetric int64 exchange matrix, built on first use, read-only."""
+        b = np.zeros((len(self.vertices),) * 2, dtype=np.int64)
+        for i, j, m in self._arrows:
+            b[i, j], b[j, i] = m, -m
+        b.setflags(write=False)
+        return b
+
+    def max_multiplicity(self) -> int:
+        """The largest arrow multiplicity, 0 when there are no arrows."""
+        return max((m for _, _, m in self._arrows), default=0)
 
     def index(self, v: Label) -> int:
         try:
@@ -186,25 +201,25 @@ class Quiver:
         return v in self._index
 
     def b(self, u: Label, v: Label) -> int:
-        return int(self.matrix[self.index(u), self.index(v)])
+        """The exchange-matrix entry: arrows u -> v minus arrows v -> u."""
+        i, j, weight = self.index(u), self.index(v), self._adjacency.weight
+        return weight.get((i, j), 0) - weight.get((j, i), 0)
 
     @cached_property
     def _adjacency(self) -> _Adjacency:
-        """The arrows and the neighbour indices of each vertex.
+        """The neighbour indices of each vertex and the arrow weights.
 
-        The one place arrows and neighbours are read off the matrix: one
-        pass, on first use.  The matrix is read-only, so the lists never go
-        stale; callers must not change them.
+        One pass over the arrows, on first use.  The arrows never change,
+        so the lists never go stale; callers must not change them.
         """
         n = len(self.vertices)
         outs: list[list[int]] = [[] for _ in range(n)]
         ins: list[list[int]] = [[] for _ in range(n)]
-        rows, cols = np.nonzero(self.matrix > 0)
-        arrows = list(zip(rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist()))
-        for i, j, _ in arrows:
+        for i, j, _ in self._arrows:  # sorted, so every list ascends
             outs[i].append(j)
             ins[j].append(i)
-        return _Adjacency(arrows, outs, ins, [sorted(o + i) for o, i in zip(outs, ins)])
+        weight = {(i, j): m for i, j, m in self._arrows}
+        return _Adjacency(outs, ins, [sorted(o + i) for o, i in zip(outs, ins)], weight)
 
     @cached_property
     def _blocks(self) -> tuple[tuple[Label, ...], ...]:
@@ -257,7 +272,7 @@ class Quiver:
     def arrows(self) -> list[tuple[Label, Label, int]]:
         """All arrows as (source, target, multiplicity), sorted."""
         names = self.vertices
-        return [(names[i], names[j], m) for i, j, m in self._adjacency.arrows]
+        return [(names[i], names[j], m) for i, j, m in self._arrows]
 
     def out_neighbors(self, v: Label) -> list[Label]:
         return self._labels(self._adjacency.outs[self.index(v)])
@@ -300,8 +315,8 @@ class IceQuiver:
         for f in self.frozen:
             if not self.quiver.has_vertex(f):
                 raise UnknownVertexError(f"frozen vertex {f!r} not in quiver")
-        idx = [self.quiver.index(f) for f in sorted(self.frozen)]
-        if idx and np.any(self.quiver.matrix[np.ix_(idx, idx)] != 0):
+        idx = {self.quiver.index(f) for f in self.frozen}
+        if any(i in idx and j in idx for i, j, _ in self.quiver._arrows):
             raise QuiverError("arrows between frozen vertices")
         if len(self.frozen) == len(self.quiver.vertices):
             raise QuiverError(_NO_MUTABLE)
@@ -342,14 +357,15 @@ def make_quiver(
     """Build a quiver from vertex labels and (source, target[, multiplicity]) arrows.
 
     Rejects loops, duplicate vertices, unknown endpoints, pairs of arrows
-    in both directions (2-cycles) and a total multiplicity beyond int64.
+    in both directions (2-cycles) and a total multiplicity beyond int64:
+    the quiver keeps exact ints, but ``Quiver.matrix`` is int64, so a larger
+    multiplicity would wrap round there.
     """
     labels = [str(v) for v in vertices]
     if len(set(labels)) != len(labels):
         raise DuplicateVertexError("duplicate vertex labels")
     order = tuple(sorted(labels))
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
     # running totals in Python ints, so a sum beyond int64 raises, never wraps
     totals: dict[tuple[int, int], int] = {}
     for arrow in arrows:
@@ -372,10 +388,8 @@ def make_quiver(
                 f"multiplicity of {u!r}->{v!r} exceeds the int64 range: {total}"
             )
         totals[i, j] = total
-    b = np.zeros((n, n), dtype=np.int64)
-    for (i, j), m in totals.items():
-        b[i, j], b[j, i] = m, -m
-    return Quiver(order, b)
+    arrows = sorted((i, j, m) for (i, j), m in totals.items())
+    return Quiver._trusted(order, arrows, index)
 
 
 def frame(q: Quiver) -> IceQuiver:
@@ -403,56 +417,59 @@ def _framed_rows(q: Quiver, sign: int = 1) -> tuple[list[Label], Rows]:
             raise DuplicateVertexError(f"frozen label {f!r} collides with a vertex")
     if not frozen:
         raise QuiverError(_NO_MUTABLE)
-    rows = _sparse(q.matrix)
-    n = len(rows)
+    n = len(q.vertices)
+    rows = _rows(q, range(n), n)
     for i, row in enumerate(rows):
         row[n + i] = sign
     return frozen, rows
 
 
-def _sparse(m: np.ndarray) -> Rows:
-    """One dict per row of ``m``, mapping a column to its nonzero entry."""
-    rows: Rows = [{} for _ in range(len(m))]
-    i, j = np.nonzero(m)
-    for r, c, x in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
-        rows[r][c] = x
+def _rows(q: Quiver, col: Sequence[int], n: int) -> Rows:
+    """The first ``n`` rows of the exchange matrix of ``q`` with vertex i
+    moved to column ``col[i]``: one dict per row, mapping a column to its
+    nonzero entry.  Row r is the vertex in column r."""
+    rows: Rows = [{} for _ in range(n)]
+    for i, j, m in q._arrows:
+        a, b = col[i], col[j]
+        if a < n:
+            rows[a][b] = m
+        if b < n:
+            rows[b][a] = -m
     return rows
 
 
 def _rows_of(iq: IceQuiver) -> tuple[tuple[Label, ...], list[Label], Rows]:
     """The mutable labels, the frozen labels and the rows of [B | C] of ``iq``."""
-    q = iq.quiver
     mutable, frozen = iq.mutable, sorted(iq.frozen)
-    rows = [q.index(v) for v in mutable]
-    cols = rows + [q.index(f) for f in frozen]
-    return mutable, frozen, _sparse(q.matrix[np.ix_(rows, cols)])
+    col = {v: c for c, v in enumerate((*mutable, *frozen))}
+    rows = _rows(iq.quiver, [col[v] for v in iq.quiver.vertices], len(mutable))
+    return mutable, frozen, rows
 
 
 def _assemble(mutable: Sequence[Label], frozen: Sequence[Label], rows: Rows) -> IceQuiver:
     """The ice quiver whose [B | C] is ``rows``, in ``mutable`` order, with C
     columns in ``frozen`` order.
 
-    Frozen rows are minus the transpose of C; the frozen-frozen block is zero.
+    Frozen rows are minus the transpose of C, so C gives every arrow at a
+    frozen vertex; the frozen-frozen block is zero.
     """
     order = tuple(sorted((*mutable, *frozen)))
     index = {v: i for i, v in enumerate(order)}
-    at = [index[v] for v in (*mutable, *frozen)]
-    r, c, x = [], [], []
+    at, n = [index[v] for v in (*mutable, *frozen)], len(rows)
+    arrows = []
     for i, row in enumerate(rows):
         for j, b in row.items():
-            r.append(at[i])
-            c.append(at[j])
-            x.append(b)
-    b = np.zeros((len(order), len(order)), dtype=np.int64)
-    values = np.array(x, dtype=np.int64)
-    b[r, c] = values
-    b[c, r] = -values  # for B this rewrites the same entries
-    return IceQuiver._trusted(Quiver._trusted(order, b, index), frozenset(frozen))
+            if b > 0:
+                arrows.append((at[i], at[j], b))
+            elif j >= n:  # an arrow from a frozen vertex; B's are in their source row
+                arrows.append((at[j], at[i], -b))
+    quiver = Quiver._trusted(order, sorted(arrows), index)
+    return IceQuiver._trusted(quiver, frozenset(frozen))
 
 
 # multiplicities can grow doubly exponentially under mutation; refusing
 # beyond this bound keeps the work of a step small and every entry of an
-# assembled int64 matrix exact
+# int64 ``Quiver.matrix`` exact
 MAX_SAFE_ENTRY = 2**31
 _UNSAFE = "arrow multiplicities exceed the safe mutation range"
 
@@ -520,7 +537,7 @@ def mutate(iq: IceQuiver, k: Label) -> IceQuiver:
     b'[u][v] = -b[u][v] when u = k or v = k, and otherwise
     b[u][v] + sign(b[u][k]) * max(b[u][k] * b[k][v], 0); entries between two
     frozen vertices stay zero.  Mutation is an involution.  The kernel runs
-    on [B | C], and the full matrix is rebuilt from it.
+    on [B | C], and the arrows are read back off it.
     """
     iq.quiver.index(k)
     if k in iq.frozen:
@@ -543,7 +560,7 @@ def color(iq: IceQuiver, v: Label) -> Color:
     if v in iq.frozen:
         raise QuiverError(f"color is defined for mutable vertices only: {v!r}")
     q = iq.quiver
-    row = q.matrix[q.index(v), [q.index(f) for f in iq.frozen]].tolist()
+    row = [q.b(v, f) for f in q.neighbors(v) if f in iq.frozen]
     c = _row_color(dict(enumerate(row)), 0)
     if c is None and not any(row):
         raise ZeroRowError(f"vertex {v!r} has no arrows to frozen vertices")
@@ -712,8 +729,9 @@ def full_subquiver(q: Union[Quiver, IceQuiver], keep: Iterable[Label]):
     kept = sorted({str(v) for v in keep})
     if isinstance(q, IceQuiver):
         return IceQuiver(full_subquiver(q.quiver, kept), q.frozen & set(kept))
-    idx = [q.index(v) for v in kept]
-    return Quiver(tuple(kept), q.matrix[np.ix_(idx, idx)])
+    new = {q.index(v): i for i, v in enumerate(kept)}  # ascending, so arrows stay sorted
+    arrows = [(new[i], new[j], m) for i, j, m in q._arrows if i in new and j in new]
+    return Quiver._trusted(tuple(kept), arrows, {v: i for i, v in enumerate(kept)})
 
 
 def restrict_sequence(seq: Steps, keep: Iterable[Label]) -> MutationSequence:

@@ -50,7 +50,7 @@ def triangles(q: Quiver) -> list[Triangle]:
         raise NotTypeAError("no vertices")
     if not q.is_connected():
         raise NotTypeAError("not connected")
-    if (q.matrix > 1).any():
+    if q.max_multiplicity() > 1:
         raise NotTypeAError("arrow multiplicity above 1")
     tris = []
     for block in blocks(q):

@@ -258,7 +258,7 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
     """
     if len(q.vertices) < 4 or not q.is_connected():
         return None
-    if (q.matrix > 1).any():
+    if q.max_multiplicity() > 1:
         return None
     centres = _centres(q)
     if centres is None:

@@ -6,14 +6,24 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from greenseq import fixtures
 from greenseq.cli import build_parser, main
+from greenseq.decomposition import (
+    construct_mgs,
+    decomposition_from_dict,
+    decomposition_to_dict,
+    random_decomposition,
+    underlying_quiver,
+)
+from greenseq.families import auto_decompose
 from greenseq.fixtures import FIG8_TWELVE_COMPOSITION, fig8_quiver
-from greenseq.quiver import make_quiver
-from greenseq.serialize import quiver_from_dict, quiver_to_dict
+from greenseq.quiver import Quiver, make_quiver
+from greenseq.serialize import quiver_from_dict, quiver_to_dict, sequence_to_dict
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -170,6 +180,28 @@ class TestMgs:
             )
             assert code == 0 and json.loads(out)["verified"] is True
             assert run(capsys, "verify", str(qfile), str(sfile))[0] == 0
+
+    @pytest.mark.parametrize("change", ["none", "extra", "double", "reversed"])
+    def test_decomposition_must_present_the_quiver(self, capsys, tmp_path, change):
+        dec = random_decomposition(5, 3, 12)
+        q = underlying_quiver(dec)
+        (u, v, _), *rest = q.arrows()
+        gap = next((a, b) for a in q.vertices for b in q.vertices if a != b and not q.b(a, b))
+        arrows = {
+            "none": [(u, v, 1)],
+            "extra": [(u, v, 1), gap],
+            "double": [(u, v, 2)],
+            "reversed": [(v, u, 1)],
+        }[change]
+        qfile = write_quiver(tmp_path / "q.json", make_quiver(q.vertices, arrows + rest))
+        dfile = tmp_path / "d.json"
+        dfile.write_text(json.dumps(decomposition_to_dict(dec)))
+        code, out, err = run(capsys, "mgs", qfile, "--decomposition", str(dfile))
+        if change == "none":
+            assert code == 0 and json.loads(out)["verified"] is True
+        else:
+            assert code == 2 and out == ""
+            assert "decomposition does not present the given quiver" in err
 
 
 def _non_oriented_square():
@@ -608,3 +640,73 @@ def test_runs_without_networkx(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["family"] == "oriented_cycles"
+
+
+def _refuse_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(Quiver, "matrix", property(refuse))
+
+
+class TestNoDenseMatrix:
+    """No library or CLI path builds the n x n ``Quiver.matrix``."""
+
+    def test_cli_paths(self, capsys, tmp_path, monkeypatch):
+        _refuse_matrix(monkeypatch)
+        qfile, dfile = tmp_path / "q.json", tmp_path / "d.json"
+        sfile, fig8 = tmp_path / "s.json", tmp_path / "fig8.json"
+        run(
+            capsys, "generate", "--family", "random-qn", "--seed", "3", "--chains", "3",
+            "--quiver-out", str(qfile), "--decomposition-out", str(dfile),
+        )
+        run(capsys, "generate", "--fixture", "fig8", "--quiver-out", str(fig8))
+        a3 = write_quiver(tmp_path / "a3.json", make_quiver("abc", [("b", "a"), ("c", "b")]))
+        for argv in (
+            ["mgs", str(fig8)],
+            ["mgs", str(qfile), "--decomposition", str(dfile), "--sequence-out", str(sfile)],
+            ["verify", str(qfile), str(sfile)],
+            ["search", a3, "--mode", "count"],
+            ["search", a3, "--mode", "min"],
+            ["export", str(qfile), "--format", "dot", "--sequence", str(sfile)],
+            ["export", str(qfile), "--format", "json"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+
+    def test_library_paths(self, monkeypatch):
+        dec = random_decomposition(11, 8, 80)
+        data, want = decomposition_to_dict(dec), construct_mgs(dec)
+        quivers = [make() for make in fixtures.FIXTURE_QUIVERS.values()]
+        quivers += [fixtures.three_chain_quiver(), fixtures.oriented_cycles_example()]
+        quivers += fixtures.type_a_samples()
+        answers = [auto_decompose(q) for q in quivers]
+        _refuse_matrix(monkeypatch)
+        assert construct_mgs(decomposition_from_dict(data)) == want
+        for q, answer in zip(quivers, answers):
+            again = auto_decompose(q)
+            assert (again is None) == (answer is None)
+            if answer is not None:
+                assert again[0] == answer[0]
+                assert again[1].chains == answer[1].chains
+
+
+def test_verify_memory_is_linear(capsys, tmp_path):
+    """``greenseq verify`` on a 5,015-vertex quiver keeps its traced peak far
+    below one dense n x n int64 matrix (201 MB): the quiver is its arrows."""
+    dec = random_decomposition(6100, 610, 6100)
+    q = underlying_quiver(dec)
+    assert len(q.vertices) == 5015
+    qfile = write_quiver(tmp_path / "q.json", q)
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(sequence_to_dict(construct_mgs(dec))))
+    del dec, q
+    tracemalloc.start()
+    try:
+        code = main(["verify", qfile, str(sfile)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["maximal_green"] is True
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -240,11 +240,12 @@ class TestLazyQuiver:
 
     def test_construct_never_builds_the_quiver(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a dense quiver was built")
+            raise AssertionError("a quiver was built")
 
         data = decomposition_to_dict(random_decomposition(11, 8, 80))
         monkeypatch.setattr(quiver, "make_quiver", refuse)
-        monkeypatch.setattr(Quiver, "__post_init__", refuse)
+        monkeypatch.setattr(Quiver, "_trusted", refuse)
+        monkeypatch.setattr(Quiver, "__init__", refuse)
         dec = decomposition_from_dict(data)
         assert len(construct_mgs(dec)) == expected_mgs_length(dec)
         assert descending_order(dec) and dec.vertices()

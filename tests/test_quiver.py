@@ -85,6 +85,26 @@ class TestMakeQuiver:
         assert q.vertices == ("10", "2", "a", "b")
 
 
+class TestCheckedConstructor:
+    """``Quiver(vertices, matrix)`` validates a matrix from outside the library."""
+
+    @pytest.mark.parametrize(
+        "vertices, matrix, error, message",
+        [
+            (("a", "a"), [[0, 0], [0, 0]], DuplicateVertexError, "duplicate vertex labels"),
+            (("b", "a"), [[0, 0], [0, 0]], QuiverError, "vertices must be sorted"),
+            (("a", "b"), [[0, 0, 0], [0, 0, 0]], QuiverError, "matrix shape does not match"),
+            (("a", "b"), [[1, 0], [0, 0]], LoopArrowError, "nonzero diagonal entry"),
+            (("a", "b"), [[0, 1], [0, 0]], QuiverError, "matrix is not skew-symmetric"),
+        ],
+        ids=["duplicate", "unsorted", "shape", "diagonal", "not-skew"],
+    )
+    def test_rejections(self, vertices, matrix, error, message):
+        with pytest.raises(error, match=message) as info:
+            Quiver(vertices, np.array(matrix))
+        assert info.type is error
+
+
 class TestFraming:
     def test_frame_single_vertex(self):
         iq = frame(make_quiver(["1"], []))
@@ -117,7 +137,7 @@ class TestFraming:
 
     def test_frozen_frozen_arrows_rejected(self):
         q = make_quiver(["1", "2", "3"], [("1", "2")])
-        with pytest.raises(Exception):
+        with pytest.raises(QuiverError, match="arrows between frozen vertices"):
             IceQuiver(q, frozenset(["1", "2"]))
 
     def test_all_frozen_rejected(self):
@@ -351,7 +371,8 @@ def quivers_three_ways(draw):
             b[j, i] = -b[i, j]
     how = draw(st.sampled_from(["checked", "trusted", "subquiver"]))
     if how == "trusted":
-        return Quiver._trusted(labels, b, {v: i for i, v in enumerate(labels)})
+        arrows = [(i, j, int(b[i, j])) for i in range(n) for j in range(n) if b[i, j] > 0]
+        return Quiver._trusted(labels, arrows, {v: i for i, v in enumerate(labels)})
     q = Quiver(labels, b)
     if how == "subquiver":
         return full_subquiver(q, draw(st.sets(st.sampled_from(labels))) if n else ())
@@ -372,6 +393,7 @@ def test_adjacency_reads_the_matrix(q):
     assert q.arrows() == sorted(
         (names[i], names[j], m[i][j]) for i in range(n) for j in range(n) if m[i][j] > 0
     )
+    assert q.max_multiplicity() == max((x for row in m for x in row), default=0)
     reached, stack = set(), [0] if n else []
     while stack:
         i = stack.pop()
