@@ -246,6 +246,8 @@ def _cmd_search(args) -> int:
         except ValueError:
             raise CliError(f"GREENSEQ_NODE_CAP is not an integer: {env_cap!r}")
     limits = {"node_cap": node_cap, "mutable_cap": args.mutable_cap}
+    if args.mode == "min" and args.include_sequences:
+        raise CliError("--include-sequences applies only to --mode count")
     try:
         if args.mode == "min":
             value = min_mgs_length(q, args.max_len, **limits)

@@ -24,18 +24,24 @@ and runs the kernel on the copy (:meth:`_Search.mutate`): a child shares
 the other rows with its parent.  The depth-first walks keep only the state
 at the end of their path and step back by mutating it again in place, since
 mutation is an involution; that writes only rows the step forward copied.
-One pass over the C entries of a state gives both its green moves and
-whether every row is red.  The memo of the dynamic programme and the
-visited set of the breadth-first search key a state by its c-vectors alone,
-sorted (:meth:`_Search.key`), so they solve each cluster once, not once per
-labelling of its seed; counts and minimal lengths do not depend on the
-labels.
+One pass over the C entries of a state gives its green and its red rows.
+The memo of the dynamic programme and the visited sets of the breadth-first
+search key a state by its c-vectors alone, sorted (:meth:`_Search.key`), so
+they solve each cluster once, not once per labelling of its seed; counts
+and minimal lengths do not depend on the labels.
+
+Minimal lengths come from a breadth-first search run from both ends:
+forward from the framed quiver by green moves, and backward by red moves
+from the coframed quiver [B | -I], where every maximal green sequence ends
+up to relabelling (Brüstle-Dupont-Pérotin).  A red move read backwards is a
+green one, so a state both sides reach splits a maximal green sequence.
+Both sides make their children with :meth:`_Search.mutate`, so the node
+budget counts the mutations of both.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -88,6 +94,9 @@ class _Search:
             )
         rows = _framed_rows(q)[1]
         self.start: State = (rows, _unsafe(rows))
+        # the coframed end [B | -I], where every MGS stops up to relabelling
+        rows = _framed_rows(q, -1)[1]
+        self.end: State = (rows, _unsafe(rows))
         self._labels = q.vertices
         self.max_len = max_len
         self.budget = _Budget(node_cap)
@@ -109,29 +118,30 @@ class _Search:
                 child[i] = rows[i].copy()
         return child, _mutate_rows(child, k)[1]
 
-    def colors(self, state: State) -> tuple[list[int], bool]:
-        """The green rows in ascending order, and whether every row is red."""
+    def colors(self, state: State) -> tuple[list[int], list[int]]:
+        """The green rows and the red rows, each in ascending order."""
         rows = state[0]
         n = len(rows)
-        green, all_red = [], True
+        green, red = [], []
         for k, row in enumerate(rows):
             c = _row_color(row, n)
             if c is Color.GREEN:
                 green.append(k)
-            if c is not Color.RED:
-                all_red = False
-        return green, all_red
+            elif c is Color.RED:
+                red.append(k)
+        return green, red
 
     def key(self, state: State) -> bytes:
         """The c-vectors (rows of C), sorted and packed as int64 bytes.
 
         C fixes B = C B0 C^T along green runs (Nakanishi-Zelevinsky tropical
-        duality) and has distinct rows, so two states share a key exactly
-        when one relabels the other: C2 = P C1 and B2 = P B1 P^T for a
-        permutation matrix P.  Entries fit in int64: a start state comes
-        from a quiver, whose multiplicities do, and a child is made only
-        from a parent not flagged unsafe, whose entries are below 2^31, so
-        its own are below 2^31 + 2^62.
+        duality), and along red runs from the end, which are minus green
+        runs of the opposite quiver; C has distinct rows, so two states
+        share a key exactly when one relabels the other: C2 = P C1 and
+        B2 = P B1 P^T for a permutation matrix P.  Entries fit in int64: a
+        start state comes from a quiver, whose multiplicities do, and a
+        child is made only from a parent not flagged unsafe, whose entries
+        are below 2^31, so its own are below 2^31 + 2^62.
         """
         rows = state[0]
         n = len(rows)
@@ -166,10 +176,10 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
     path: list[int] = []
 
     def visit(state: State) -> tuple[bool, Iterator[int]]:
-        green, all_red = search.colors(state)
+        green, red = search.colors(state)
         if search.max_len is not None and len(path) >= search.max_len:
             green = []
-        return all_red, iter(green)
+        return len(red) == len(state[0]), iter(green)
 
     rows = search.start[0]
     all_red, moves = visit(search.start)
@@ -227,8 +237,8 @@ def _count_dp(search: _Search) -> tuple[int, int | None]:
     memo: dict[tuple[bytes, int | None], tuple[int, int | None]] = {}
 
     def open_frame(state: State, key: tuple[bytes, int | None], move: int | None) -> _Frame:
-        green, all_red = search.colors(state)
-        if all_red:
+        green, red = search.colors(state)
+        if len(red) == len(state[0]):
             return _Frame(key, state[1], move, iter(()), 1, 0)
         moves = () if key[1] == 0 else green
         return _Frame(key, state[1], move, iter(moves), 0, None)
@@ -303,10 +313,12 @@ def min_mgs_length(
 ) -> int | None:
     """Length of a shortest maximal green sequence, or None when none exists.
 
-    The default engine is a breadth-first search that visits each state
-    once up to relabelling; ``engine="dfs"`` runs a
-    memoization-free iterative-deepening search as an independent
-    cross-check (it requires ``max_len`` to conclude None).
+    The default engine is a breadth-first search from both the framed and
+    the coframed end, which stops where the two sides first meet and visits
+    each state once per side up to relabelling; the node budget counts the
+    mutations of both sides.  ``engine="dfs"`` runs a memoization-free
+    iterative-deepening search as an independent cross-check (it requires
+    ``max_len`` to conclude None).
     """
     search = _Search(q, max_len, node_cap, mutable_cap)
     if engine == "bfs":
@@ -317,24 +329,42 @@ def min_mgs_length(
 
 
 def _min_bfs(search: _Search) -> int | None:
-    """Breadth-first search for the least depth of an all-red state; ``seen``
-    holds state keys, so of the states that relabel one another only the
-    first reached is queued."""
-    seen = {search.key(search.start)}
-    frontier = deque([(search.start, 0)])
-    while frontier:
-        state, depth = frontier.popleft()
-        green, all_red = search.colors(state)
-        if all_red:
-            return depth
-        if search.max_len is not None and depth >= search.max_len:
-            continue
-        for k in green:
-            child = search.mutate(state, k)
-            key = search.key(child)
-            if key not in seen:
-                seen.add(key)
-                frontier.append((child, depth + 1))
+    """Bidirectional breadth-first search for the least green distance from
+    the start to the coframed end.
+
+    The forward side mutates green rows from ``search.start``, the backward
+    side red rows from ``search.end``; each side maps the keys it has seen
+    to their depths.  A step expands the smaller frontier by one whole
+    level, and the search ends at the first child whose key the other side
+    holds.  That meet is a shortest one: a child made at depth d + 1 that
+    meets the other side below its frontier would be a state that side has
+    expanded, so it has made the parent, which this side has held at depth
+    d since before, and that meet would have been found first.  A side
+    whose frontier empties has listed every state it reaches, and no meet
+    then means no MGS; under ``max_len`` the search answers None once the
+    two depths add up to it.
+    """
+    seen = ({search.key(search.start): 0}, {search.key(search.end): 0})
+    if seen[0].keys() & seen[1].keys():
+        return 0
+    levels, depths = [[search.start], [search.end]], [0, 0]
+    while levels[0] and levels[1]:
+        if search.max_len is not None and sum(depths) >= search.max_len:
+            return None
+        side = 0 if len(levels[0]) <= len(levels[1]) else 1
+        mine, other = seen[side], seen[1 - side]
+        depth = depths[side] + 1
+        level = []
+        for state in levels[side]:
+            for k in search.colors(state)[side]:  # green forward, red backward
+                child = search.mutate(state, k)
+                key = search.key(child)
+                if key in other:
+                    return depth + other[key]
+                if key not in mine:
+                    mine[key] = depth
+                    level.append(child)
+        levels[side], depths[side] = level, depth
     return None
 
 
@@ -344,8 +374,8 @@ def _min_iddfs(search: _Search) -> int | None:
         raise QuiverError("dfs engine needs max_len to be able to answer None")
 
     def bounded(state: State, depth_left: int) -> bool:
-        green, all_red = search.colors(state)
-        if all_red:
+        green, red = search.colors(state)
+        if len(red) == len(state[0]):
             return True
         if depth_left == 0:
             return False

@@ -26,7 +26,7 @@ per-type recipe and validates the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cycles import blocks, oriented_cycle
 from .decomposition import (
@@ -36,7 +36,10 @@ from .decomposition import (
     decompose_with_chains,
 )
 from .quiver import Label, Quiver, full_subquiver
-from .type_a import NotTypeAError, _peel, connecting_vertices, triangles
+from .type_a import NotTypeAError, Triangle, _connecting, _peel, triangles
+
+# the triangles of each type-A part, keyed by its vertex set
+Parts = dict[frozenset[Label], list[Triangle]]
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,9 @@ class TypeDClassification:
     central: tuple[Label, ...] | None = None
     # spikes: (cycle arrow source, cycle arrow target, apex)
     spikes: tuple[tuple[Label, Label, Label], ...] = ()
+    # the triangles the classification found, so the decomposer peels
+    # them without recomputing; not part of the result's value
+    parts: Parts = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -124,12 +130,21 @@ def _centres(q: Quiver) -> list[tuple[Label, ...]] | None:
     return sorted(centres, key=lambda c: (len(c), c))
 
 
-def _connects(sub: Quiver, v: Label) -> bool:
-    """Whether ``sub`` is mutation-equivalent to type A with ``v`` connecting."""
-    try:
-        return v in connecting_vertices(sub)
-    except NotTypeAError:
-        return False
+def _type_a_parts(q: Quiver, pins: list[tuple[list[Label], Label]]) -> Parts | None:
+    """The triangles of the full subquiver on each ``comp`` of ``pins``, or
+    None at the first that is not mutation-equivalent to type A with its
+    ``pin`` connecting."""
+    parts: Parts = {}
+    for comp, pin in pins:
+        sub = full_subquiver(q, comp)
+        try:
+            tris = triangles(sub)
+        except NotTypeAError:
+            return None
+        if pin not in _connecting(sub, tris):
+            return None
+        parts[frozenset(comp)] = tris
+    return parts
 
 
 def _try_type_iv(
@@ -179,12 +194,10 @@ def _try_type_iv(
                     comp_of_apex[apex] = comp
         if not ok or len(used) != len(comps):
             continue
-        if all(
-            _connects(full_subquiver(q, comp), apex)
-            for apex, comp in comp_of_apex.items()
-        ):
+        parts = _type_a_parts(q, [(comp, apex) for apex, comp in comp_of_apex.items()])
+        if parts is not None:
             return TypeDClassification(
-                "IV", central=cycle, spikes=tuple(sorted(spikes))
+                "IV", central=cycle, spikes=tuple(sorted(spikes)), parts=parts
             )
     return None
 
@@ -201,10 +214,9 @@ def _try_type_iii(
             if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
                 continue
             comp_c, comp_d = comps if c in comps[0] else comps[::-1]
-            if _connects(full_subquiver(q, comp_c), c) and _connects(
-                full_subquiver(q, comp_d), d
-            ):
-                return TypeDClassification("III", a=a, b=b, c=c, d=d)
+            parts = _type_a_parts(q, [(comp_c, c), (comp_d, d)])
+            if parts is not None:
+                return TypeDClassification("III", a=a, b=b, c=c, d=d, parts=parts)
     return None
 
 
@@ -225,10 +237,9 @@ def _try_type_ii(q: Quiver) -> TypeDClassification | None:
             continue
         comp_c, comp_d = comps if c in comps[0] else comps[::-1]
         # c and d lie in different components, so neither holds the arrow c -> d
-        if _connects(full_subquiver(q, comp_c), c) and _connects(
-            full_subquiver(q, comp_d), d
-        ):
-            return TypeDClassification("II", a=a, b=b, c=c, d=d)
+        parts = _type_a_parts(q, [(comp_c, c), (comp_d, d)])
+        if parts is not None:
+            return TypeDClassification("II", a=a, b=b, c=c, d=d, parts=parts)
     return None
 
 
@@ -245,8 +256,9 @@ def _try_type_i(q: Quiver) -> TypeDClassification | None:
             comps = _components(q, {a, b})
             if len(comps) != 1:
                 continue
-            if _connects(full_subquiver(q, comps[0]), c):
-                return TypeDClassification("I", a=a, b=b, c=c)
+            parts = _type_a_parts(q, [(comps[0], c)])
+            if parts is not None:
+                return TypeDClassification("I", a=a, b=b, c=c, parts=parts)
     return None
 
 
@@ -271,20 +283,24 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
     )
 
 
-def _type_a_chains(q: Quiver, comp: list[Label], pinned: list[Label]) -> list[list[Label]]:
+def _type_a_chains(
+    q: Quiver, comp: list[Label], pinned: list[Label], parts: Parts
+) -> list[list[Label]]:
     """Type-A chains of the full subquiver on ``comp``, each pinned vertex a singleton.
 
+    The triangles come from ``parts`` when the classification found them.
     Not validated: only the decomposition of the whole quiver is.
     """
     sub = full_subquiver(q, comp)
-    return _peel(sub, triangles(sub), pinned)
+    tris = parts.get(frozenset(comp))
+    return _peel(sub, triangles(sub) if tris is None else tris, pinned)
 
 
 def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
     """Chain decomposition following the per-type recipe; validates the result."""
     if cls.kind == "I":
         comp = [v for v in q.vertices if v not in (cls.a, cls.b)]
-        chains = _type_a_chains(q, comp, [cls.c]) + [[cls.a], [cls.b]]
+        chains = _type_a_chains(q, comp, [cls.c], cls.parts) + [[cls.a], [cls.b]]
         return decompose_with_chains(q, chains)
 
     if cls.kind in ("II", "III"):
@@ -294,7 +310,7 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
         chains = [
             chain
             for comp, pin in ((comp_c, cls.c), (comp_d, cls.d))
-            for chain in _type_a_chains(q, comp, [pin])
+            for chain in _type_a_chains(q, comp, [pin], cls.parts)
             if chain not in ([cls.c], [cls.d])
         ]
         if cls.kind == "II":
@@ -314,7 +330,9 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
     outer_chains = [
         chain
         for comp in _components(q, set(central))
-        for chain in _type_a_chains(q, comp, [x for x in comp if x in all_apexes])
+        for chain in _type_a_chains(
+            q, comp, [x for x in comp if x in all_apexes], cls.parts
+        )
     ]
 
     failures: list[Violation] = []

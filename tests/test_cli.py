@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from greenseq import fixtures
+from greenseq.cartan import cartan_data
 from greenseq.cli import build_parser, main
 from greenseq.decomposition import (
     construct_mgs,
@@ -22,6 +23,7 @@ from greenseq.decomposition import (
 )
 from greenseq.families import auto_decompose
 from greenseq.fixtures import FIG8_TWELVE_COMPOSITION, fig8_quiver
+from greenseq.hl import hl_quiver
 from greenseq.quiver import Quiver, make_quiver
 from greenseq.serialize import quiver_from_dict, quiver_to_dict, sequence_to_dict
 
@@ -469,6 +471,36 @@ class TestSearch:
         code, out, err = run(capsys, "search", qfile, "--mode", mode)
         assert code == 2 and out == ""
         assert "node_cap must not be negative" in err
+
+    def test_include_sequences_with_min_exits_2(self, capsys, tmp_path):
+        a3 = make_quiver(["1", "2", "3"], [("2", "1"), ("3", "2")])
+        qfile = write_quiver(tmp_path / "q.json", a3)
+        code, out, err = run(capsys, "search", qfile, "--mode", "min", "--include-sequences")
+        assert code == 2 and out == ""
+        assert "--include-sequences applies only to --mode count" in err
+
+    # full subquivers of Hernandez-Leclerc windows with a column gap, which
+    # no chain decomposition covers, and their shortest MGS
+    HL_GAPPED = {
+        "A3-hexagon": ("A", 3, [(1, 0), (1, 2), (2, -1), (2, 3), (3, 0), (3, 2)], 6),
+        "A5-core": (
+            "A", 5, [(2, 3), (3, 2), (3, 4), (4, 1), (4, 5), (5, 0), (5, 2), (5, 4), (5, 6)], 12,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HL_GAPPED))
+    def test_min_on_gapped_hl_subquivers(self, capsys, tmp_path, name):
+        letter, rank, window, least = self.HL_GAPPED[name]
+        qfile = write_quiver(tmp_path / "q.json", hl_quiver(cartan_data(letter, rank), window))
+        code, out, _ = run(capsys, "search", qfile, "--mode", "min", "--mutable-cap", "9")
+        assert code == 0
+        assert json.loads(out) == {"min_length": least, "budget_exhausted": False}
+
+    def test_min_without_mgs_exits_3(self, capsys, tmp_path):
+        markov = make_quiver(["1", "2", "3"], [("1", "2", 2), ("2", "3", 2), ("3", "1", 2)])
+        qfile = write_quiver(tmp_path / "q.json", markov)
+        code, out, _ = run(capsys, "search", qfile, "--mode", "min", "--node-cap", "2000")
+        assert code == 3 and json.loads(out)["budget_exhausted"] is True
 
     # quivers with an infinite green path: only the node budget ends the search
     INFINITE = {

@@ -47,6 +47,11 @@ def triangle():
 
 
 KRONECKER = make_quiver(["1", "2"], [("1", "2", 2)])
+TOURNAMENT5 = make_quiver(
+    [str(i) for i in range(5)], [(str(j), str(i)) for i in range(5) for j in range(i + 1, 5)]
+)
+# three double arrows in a cycle: no maximal green sequence
+MARKOV = make_quiver(["1", "2", "3"], [("1", "2", 2), ("2", "3", 2), ("3", "1", 2)])
 
 
 def type_d(n):
@@ -73,6 +78,36 @@ def oracle_state(search, q, steps):
     for v in steps:
         state = search.mutate(state, q.index(v))
     return state
+
+
+def red_run(search, picks):
+    """The states of a run of red moves from the coframed end, taking the
+    red row ``pick`` modulo their number at each step.  It stops where no
+    row is red or an entry has reached the safe bound."""
+    state, states = search.end, [search.end]
+    for pick in picks:
+        red = search.colors(state)[1]
+        if state[1] or not red:
+            break
+        state = search.mutate(state, red[pick % len(red)])
+        states.append(state)
+    return states
+
+
+def reachable(search, side):
+    """Every labelled state reached by green moves from the start (side 0)
+    or by red moves from the end (side 1)."""
+    first = (search.start, search.end)[side]
+    states, todo, seen = [first], [first], {b_and_c(first)}
+    while todo:
+        state = todo.pop()
+        for k in search.colors(state)[side]:
+            child = search.mutate(state, k)
+            if b_and_c(child) not in seen:
+                seen.add(b_and_c(child))
+                states.append(child)
+                todo.append(child)
+    return states
 
 
 def b_and_c(state):
@@ -227,6 +262,63 @@ class TestMinLength:
             assert bfs == dfs
 
 
+class TestBidirectional:
+    """The breadth-first search meets the coframed end from both sides; it
+    must answer as the count DP and the iterative-deepening search do."""
+
+    CAP = 3000
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(q=small_quivers(), max_len=st.none() | st.integers(0, 10))
+    def test_matches_the_dp_and_iddfs(self, q, max_len):
+        def answer(engine):
+            try:
+                return [engine()]
+            except BudgetExceededError:
+                return []
+
+        bfs = answer(lambda: min_mgs_length(q, max_len, self.CAP))
+        report = oracle_report(q, max_len, self.CAP)
+        dp = [] if report["budget_exhausted"] else [report["min_length"]]
+        # without max_len, the answer itself bounds the iterative deepening
+        bound = max_len if max_len is not None else next(iter(bfs + dp), None)
+        dfs = []
+        if bound is not None:
+            dfs = answer(lambda: min_mgs_length(q, bound, self.CAP, engine="dfs"))
+        assert len(set(bfs + dp + dfs)) <= 1, (bfs, dp, dfs)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(1, 8), seed=st.integers(0, 10**6), density=st.sampled_from([0.3, 0.6, 1]))
+    def test_acyclic_gives_n(self, n, seed, density):
+        # the sources in turn are an MGS (BDP), and none is shorter than n
+        q = random_acyclic_quiver(random.Random(seed), n, density)
+        assert min_mgs_length(q, node_cap=5_000) == n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_oriented_cycle(self, n):
+        assert min_mgs_length(oriented_cycle(n), node_cap=2_000) == 2 * n - 2
+
+    def test_infinite_green_paths_still_have_short_mgs(self):
+        # both have an infinite green path, which only the count runs into
+        assert min_mgs_length(KRONECKER, node_cap=100) == 2
+        assert min_mgs_length(TOURNAMENT5, node_cap=500) == 5
+
+    def test_markov_has_no_mgs(self):
+        # no state either side reaches is all red or all green, so only the
+        # budget ends the search
+        with pytest.raises(BudgetExceededError):
+            min_mgs_length(MARKOV, node_cap=2000)
+
+    def test_max_len_bounds_the_sum_of_the_depths(self):
+        q = oriented_cycle(4)
+        assert [min_mgs_length(q, max_len) for max_len in range(8)] == [None] * 6 + [6, 6]
+
+    def test_start_already_at_the_end(self):
+        search = _Search(linear_a(2)[0], 0, 10, 8)
+        search.start = search.end
+        assert _min_bfs(search) == 0 and search.budget.nodes == 0
+
+
 class TestBudgets:
     def test_mutable_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -299,6 +391,11 @@ class TestWork:
         assert count_mgs(linear_a(7)[0]) == 216_569_887
         assert count_mgs(type_d(6)) == 781_075_298
 
+    def test_min_meets_in_the_middle(self):
+        # a one-sided search spends 5,005 and 1,519 mutations here
+        assert min_mgs_length(linear_a(7)[0], node_cap=1_000) == 7
+        assert min_mgs_length(type_d(6), node_cap=400) == 6
+
 
 KEYS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -358,18 +455,29 @@ class TestStateKey:
     def test_whole_green_graph(self, q):
         # every labelled green state: A4 has 118, in 42 clusters
         search = _Search(q, None, 10**4, 8)
-        states, todo = [search.start], [search.start]
-        seen = {b_and_c(search.start)}
-        while todo:
-            state = todo.pop()
-            for k in search.colors(state)[0]:
-                child = search.mutate(state, k)
-                if b_and_c(child) not in seen:
-                    seen.add(b_and_c(child))
-                    states.append(child)
-                    todo.append(child)
+        states = reachable(search, 0)
         assert len({search.key(s) for s in states}) < len(states)
         self.assert_keys_match_relabellings(search, states)
+
+    @KEYS
+    @given(run=green_runs(max_n=5), picks=st.lists(st.integers(0, 5), max_size=12))
+    def test_keys_match_relabellings_across_both_ends(self, run, picks):
+        # the bidirectional search compares keys of states reached forward
+        # by green moves with keys of states reached backward by red moves
+        q, steps = run
+        search = _Search(q, None, 1000, 8)
+        forward = [oracle_state(search, q, steps[:end]) for end in range(len(steps) + 1)]
+        self.assert_keys_match_relabellings(search, forward + red_run(search, picks))
+
+    @pytest.mark.parametrize("q", [linear_a(3)[0], oriented_cycle(3)], ids=["A3", "C3"])
+    def test_whole_graph_from_both_ends(self, q):
+        # every labelled state either side reaches; each cluster is met from
+        # both ends, so keys repeat across the two sides
+        search = _Search(q, None, 10**4, 8)
+        forward, backward = reachable(search, 0), reachable(search, 1)
+        keys = [{search.key(s) for s in side} for side in (forward, backward)]
+        assert keys[0] == keys[1]
+        self.assert_keys_match_relabellings(search, forward + backward)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(q=small_quivers(), max_len=st.none() | st.integers(0, 8), data=st.data())
@@ -457,9 +565,9 @@ class TestCopyOnWrite:
             search = _Search(q, 4, 2000, 8)
             # start mid-run, so the start shares its rows with other states
             search.start = oracle_state(search, q, steps)
-            before = copy.deepcopy(search.start)
+            before = copy.deepcopy((search.start, search.end))
             try:
                 engine(search)
             except BudgetExceededError:
                 pass
-            assert search.start == before, name
+            assert (search.start, search.end) == before, name

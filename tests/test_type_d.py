@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+from greenseq import families, type_a, type_d
 from greenseq.decomposition import construct_mgs, underlying_quiver, validate_chains
 from greenseq.families import auto_decompose, linear_a
 from greenseq.fixtures import fig7_quiver, fig8_quiver, fig10_quiver, oriented_cycles_example
@@ -158,3 +162,42 @@ class TestDecomposition:
         assert auto_decompose(oriented_cycles_example())[0] == "oriented_cycles"
         bad = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (4, 3), (4, 1)])
         assert auto_decompose(bad) is None
+
+
+class TestTrianglesOnce:
+    """``classify_type_d`` finds the triangles of each type-A part when it
+    checks that part, and ``type_d_decompose`` peels from them."""
+
+    GOLDEN = Path(__file__).parent / "data" / "auto_decompose_golden.json"
+
+    def test_no_subquiver_gets_triangles_twice(self, monkeypatch):
+        calls: list[tuple] = []
+        original = type_a.triangles
+
+        def counting(q):
+            calls.append((q.vertices, tuple(q.arrows())))
+            return original(q)
+
+        for module in (families, type_a, type_d):
+            monkeypatch.setattr(module, "triangles", counting)
+        kinds = set()
+        for record in json.loads(self.GOLDEN.read_text()):
+            labels = record["labels"]
+            arrows = [(labels[a[0]], labels[a[1]], *a[2:]) for a in record["arrows"]]
+            calls.clear()
+            answer = auto_decompose(make_quiver(labels, arrows))
+            assert len(set(calls)) == len(calls), record["kind"]
+            if answer is not None and answer[0] == "mu_d":
+                kinds.add(classify_type_d(make_quiver(labels, arrows)).kind)
+        assert kinds == {"I", "II", "III", "IV"}
+
+    def test_carried_triangles_are_not_part_of_the_value(self):
+        cls = classify_type_d(fig10_quiver("d"))
+        assert cls.parts
+        bare = type_d.TypeDClassification(cls.kind, central=cls.central, spikes=cls.spikes)
+        assert bare == cls and hash(bare) == hash(cls) and repr(bare) == repr(cls)
+        assert bare.to_dict() == cls.to_dict()
+        # a classification made by hand still decomposes
+        q = fig10_quiver("d")
+        by_hand, carried = type_d_decompose(q, bare), type_d_decompose(q, cls)
+        assert (by_hand.chains, by_hand.obliques) == (carried.chains, carried.obliques)
