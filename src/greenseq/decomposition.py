@@ -22,6 +22,7 @@ underlying quiver; :func:`construct_mgs` builds it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -32,6 +33,7 @@ from .quiver import (
     MutationSequence,
     Quiver,
     QuiverError,
+    UnknownVertexError,
     _framed_rows,
     _replay,
 )
@@ -139,11 +141,16 @@ class _Layout:
         return cv
 
     def index(self, cv: ChainVertex) -> int:
-        """The int of a chain vertex; KeyError when the decomposition has none."""
+        """The int of a chain vertex; UnknownVertexError when the layout has none."""
         i = self.find(cv)
         if isinstance(i, ChainVertex):
-            raise KeyError(cv)
+            raise UnknownVertexError(f"unknown vertex {cv!r}")
         return i
+
+    def chain_steps(self) -> list[int]:
+        """The ints i whose chain goes on at i + 1, in ascending order."""
+        chain_of = self.chain_of
+        return [i for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]]
 
 
 class ChainDecomposition:
@@ -159,8 +166,27 @@ class ChainDecomposition:
     """
 
     def __init__(self, chains: Iterable[Iterable[Label]], obliques: Iterable[tuple]):
-        self._place(chains)
-        ends = [(self._resolve(src), self._resolve(dst)) for src, dst in obliques]
+        self._place(_as_chain_tuples(chains))
+        self._attach(obliques)
+
+    @classmethod
+    def _of_labels(
+        cls, chains: tuple[tuple[Label, ...], ...], obliques: Iterable[tuple]
+    ) -> "ChainDecomposition":
+        """The decomposition of chains whose labels are all str already."""
+        dec = cls.__new__(cls)
+        dec._place(chains)
+        dec._attach(obliques)
+        return dec
+
+    def _attach(self, obliques: Iterable[tuple]) -> None:
+        """Resolve the oblique ends to ints and check every rule."""
+        obliques = tuple(obliques)  # read again when a lookup below fails
+        index = self._index
+        try:
+            ends = [(index[src], index[dst]) for src, dst in obliques]
+        except (KeyError, TypeError):  # a ChainVertex, numeric or unknown end
+            ends = [(self._resolve(src), self._resolve(dst)) for src, dst in obliques]
         unknown = _unknown_end(ends)
         if unknown is None:
             ends.sort()  # ascending ints are (chain, position) order
@@ -179,11 +205,11 @@ class ChainDecomposition:
             raise error
         self._obliques = tuple(ends)
 
-    def _place(self, chains: Iterable[Iterable[Label]]) -> None:
-        self.chains = _as_chain_tuples(chains)
-        self._layout = _Layout(len(c) for c in self.chains)
-        self._labels = tuple(v for chain in self.chains for v in chain)
-        self._index = {v: i for i, v in enumerate(self._labels)}
+    def _place(self, chains: tuple[tuple[Label, ...], ...]) -> None:
+        self.chains = chains
+        self._layout = _Layout(map(len, chains))
+        self._labels = tuple(itertools.chain.from_iterable(chains))
+        self._index = dict(zip(self._labels, range(len(self._labels))))
         self._quiver: Quiver | None = None
         self._order: OrderRelation | None = None
 
@@ -217,7 +243,10 @@ class ChainDecomposition:
         return self._labels[self._layout.index(cv)]
 
     def chain_vertex_of(self, label: Label) -> ChainVertex:
-        return self._layout.vertex(self._index[str(label)])
+        i = self._index.get(str(label))
+        if i is None:
+            raise UnknownVertexError(f"unknown vertex {label!r}")
+        return self._layout.vertex(i)
 
     def order(self) -> "OrderRelation":
         if self._order is None:
@@ -398,9 +427,7 @@ def underlying_quiver(dec: ChainDecomposition) -> Quiver:
         order = tuple(sorted(dec._labels))
         index = {v: i for i, v in enumerate(order)}
         place = [index[v] for v in dec._labels]
-        chain_of = dec._layout.chain_of
-        low = [i for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]]
-        ends = [(i + 1, i) for i in low] + list(dec._obliques)
+        ends = [(i + 1, i) for i in dec._layout.chain_steps()] + list(dec._obliques)
         arrows = sorted((place[src], place[dst], 1) for src, dst in ends)
         dec._quiver = Quiver._trusted(order, arrows, index)
     return dec._quiver
@@ -416,7 +443,7 @@ def decompose_with_chains(
     that the leftover arrows satisfy all decomposition rules.
     """
     dec = ChainDecomposition.__new__(ChainDecomposition)
-    dec._place(chains)
+    dec._place(_as_chain_tuples(chains))
     if sorted(dec._labels) != list(q.vertices):
         raise ValidationFailedError(
             [Violation("vertex-map", "vertex-map", "chains do not partition the vertex set")]
@@ -453,37 +480,65 @@ class OrderRelation:
 
     The vertices are the ints 0..n-1 of a :class:`_Layout`, in (chain,
     position) order: a vertex's int is its chain offset plus its position
-    minus 1.  The covers are stored as given, in the given order, so a
-    repeated cover is stored twice (it changes no answer); the ones
-    :func:`cover_relations` gives are distinct.  Covers and the extension
-    are stored as ints; ``vertices``, ``covers`` and ``extension`` build
-    their ChainVertex tuples when read.
-    The extension is computed once by Kahn's algorithm over the covers,
-    with a heap of ready ints, so ties break by smallest chain, then
-    smallest position.  A cycle among the covers (a self-cover included)
-    leaves vertices that never become ready and raises
-    OrderCycleDetectedError.  No closure is stored: :meth:`greater` searches
-    the covers when called.
+    minus 1.  The chain covers (i, i + 1) within each chain are implied by
+    the layout and never stored; a chain cover in ``covers`` is dropped.
+    The other covers, the cross covers, are stored as given, in the given
+    order, so a repeated cross cover is stored twice (it changes no answer);
+    the ones :func:`cover_relations` gives are distinct.  ``covers`` lists
+    the chain covers in int order, then the cross covers; ``vertices``,
+    ``covers`` and ``extension`` build their ChainVertex tuples when read.
+
+    The extension is computed once by Kahn's algorithm, always listing the
+    smallest ready int, so ties break by smallest chain, then smallest
+    position.  Only the first unlisted vertex of a chain can be ready, since
+    the chain covers put every other one below it; so the ready ints are
+    at most one head per chain, kept in a heap.  After listing an int the
+    walk releases its cross covers and goes on down the same chain without
+    touching the heap while the next vertex is ready and smaller than the
+    heap's top; otherwise it pushes that vertex, if ready, and pops the
+    top.  A cycle among the covers (a self-cover, or one through an
+    implied chain cover, included) leaves vertices that never become ready
+    and raises OrderCycleDetectedError.  No closure is stored:
+    :meth:`greater` searches the covers when called, over below-lists it
+    builds on its first call.
     """
 
     def __init__(self, layout: _Layout, covers: Iterable[tuple[int, int]]):
-        n = len(layout.chain_of)
+        chain_of, offsets = layout.chain_of, layout.offsets
+        n = len(chain_of)
         self._layout = layout
-        self._covers = tuple(covers)
-        self._below: list[list[int]] = [[] for _ in range(n)]
-        above = [0] * n
-        for hi, lo in self._covers:
-            self._below[hi].append(lo)
+        self._cross = tuple(
+            (hi, lo) for hi, lo in covers if lo != hi + 1 or chain_of[hi] != chain_of[lo]
+        )
+        self._below: list[list[int]] | None = None
+        released: dict[int, list[int]] = {}  # the cross covers below each int
+        above = [1] * n  # the chain cover into each vertex below a chain head
+        heads = [start for start, k in zip(offsets, layout.lengths) if k]
+        for start in heads:
+            above[start] = 0
+        for hi, lo in self._cross:
+            released.setdefault(hi, []).append(lo)
             above[lo] += 1
-        ready = [i for i in range(n) if above[i] == 0]  # ascending, so a heap
+        ready = [i for i in heads if above[i] == 0]  # ascending, so a heap
         out: list[int] = []
         while ready:
             i = heapq.heappop(ready)
-            out.append(i)
-            for j in self._below[i]:
-                above[j] -= 1
-                if above[j] == 0:
-                    heapq.heappush(ready, j)
+            end = offsets[chain_of[i]]  # one past i's chain
+            while True:
+                out.append(i)
+                for j in released.get(i, ()):
+                    above[j] -= 1
+                    if above[j] == 0:
+                        heapq.heappush(ready, j)
+                i += 1
+                if i == end:
+                    break
+                above[i] -= 1
+                if above[i]:
+                    break
+                if ready and ready[0] < i:
+                    heapq.heappush(ready, i)
+                    break
         if len(out) != n:
             stuck = next(i for i in range(n) if above[i])
             raise OrderCycleDetectedError(f"order cycle through {layout.vertex(stuck)}")
@@ -491,12 +546,13 @@ class OrderRelation:
 
     @property
     def vertices(self) -> tuple[ChainVertex, ...]:
-        return tuple(map(self._layout.vertex, range(len(self._below))))
+        return tuple(map(self._layout.vertex, range(len(self._layout.chain_of))))
 
     @property
     def covers(self) -> tuple[tuple[ChainVertex, ChainVertex], ...]:
         vertex = self._layout.vertex
-        return tuple((vertex(hi), vertex(lo)) for hi, lo in self._covers)
+        steps = [(i, i + 1) for i in self._layout.chain_steps()]
+        return tuple((vertex(hi), vertex(lo)) for hi, lo in steps + list(self._cross))
 
     @property
     def extension(self) -> tuple[ChainVertex, ...]:
@@ -505,13 +561,21 @@ class OrderRelation:
     def greater(self, u: ChainVertex, v: ChainVertex) -> bool:
         """Whether a chain of covers leads down from u to v (depth-first search)."""
         target = self._layout.index(v)
-        stack = list(self._below[self._layout.index(u)])
+        start = self._layout.index(u)
+        if self._below is None:
+            self._below = [[] for _ in self._layout.chain_of]
+            for i in self._layout.chain_steps():
+                self._below[i].append(i + 1)
+            for hi, lo in self._cross:
+                self._below[hi].append(lo)
+        below = self._below
+        stack = list(below[start])
         seen = set(stack)
         while stack:
             i = stack.pop()
             if i == target:
                 return True
-            for j in self._below[i]:
+            for j in below[i]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -527,7 +591,7 @@ def _junction_covers(layout: _Layout, path: list[int]) -> list[tuple[int, int]]:
     chain j, the tail of chain i below the zigzag precedes the tail of
     chain j; when it re-enters chain i, the roles of the tails swap.  Inside
     a run, each step within one chain is a chain cover (i, i + 1), which
-    :func:`cover_relations` lists once for all chains.  Only the steps from
+    :class:`OrderRelation` implies for all chains.  Only the steps from
     one chain to the other are returned, in run order; none repeats.
     """
     chain_of, offsets = layout.chain_of, layout.offsets
@@ -551,16 +615,15 @@ def _junction_covers(layout: _Layout, path: list[int]) -> list[tuple[int, int]]:
 def cover_relations(dec: ChainDecomposition) -> OrderRelation:
     """The vertex partial order from its covers, each listed once.
 
-    The within-chain covers (i, i + 1) come first, in int order, then each
-    chain pair's junction covers (:func:`_junction_covers`), in (smaller,
-    larger) chain order.  The zigzags are the paths the decomposition's
-    validation walked; none is walked again here.
+    Only the cross covers are handed over: each chain pair's junction covers
+    (:func:`_junction_covers`), in (smaller, larger) chain order.  The
+    within-chain covers (i, i + 1) are implied by the layout, so
+    :class:`OrderRelation` merges the chains' runs at the junctions alone.
+    The zigzags are the paths the decomposition's validation walked; none
+    is walked again here.
     """
     layout = dec._layout
-    chain_of = layout.chain_of
-    covers = [
-        (i, i + 1) for i in range(len(chain_of) - 1) if chain_of[i] == chain_of[i + 1]
-    ]
+    covers: list[tuple[int, int]] = []
     for path in dec._paths:
         covers += _junction_covers(layout, path)
     return OrderRelation(layout, covers)
@@ -601,7 +664,10 @@ def construct_mgs(dec: ChainDecomposition) -> MutationSequence:
     """Concatenate associated sequences along a descending linear extension.
 
     The result is a maximal green sequence of the underlying quiver, of
-    length :func:`expected_mgs_length`.
+    length :func:`expected_mgs_length`.  The extension is the one
+    :class:`OrderRelation` merged from the chain heads.  The steps are the
+    chain tuples' labels, str already, so the sequence takes them without
+    converting them again; only its consecutive-repeat check runs.
     """
     chain_of, offsets = dec._layout.chain_of, dec._layout.offsets
     steps: list[Label] = []
@@ -610,7 +676,7 @@ def construct_mgs(dec: ChainDecomposition) -> MutationSequence:
         # vertex i sits at position i - offset + 1, so its run has
         # len(chain) - i + offset steps
         steps.extend(chain[: len(chain) - i + offsets[chain_of[i] - 1]])
-    return MutationSequence(tuple(steps))
+    return MutationSequence._trusted(tuple(steps))
 
 
 def two_chain_mgs(dec: ChainDecomposition) -> MutationSequence:
@@ -718,10 +784,21 @@ def decomposition_from_dict(data: dict) -> ChainDecomposition:
         raise DecompositionError("'oblique' must be a list of objects with 'from' and 'to'")
     for i, o in enumerate(obliques):
         _known_keys(o, ("from", "to"), f"oblique[{i}].", DecompositionError)
-    return build_decomposition(
-        [_json_labels(c, "a chain", DecompositionError) for c in chains],
-        [_json_labels([o["from"], o["to"]], "an oblique", DecompositionError) for o in obliques],
-    )
+    # one type scan admits all-str labels as they are; any other label
+    # takes the per-label check, which converts numbers and names the rest
+    if all(type(c) is list for c in chains) and _all_str(chains):
+        labels = tuple(map(tuple, chains))
+    else:
+        labels = tuple(tuple(_json_labels(c, "a chain", DecompositionError)) for c in chains)
+    ends = [(o["from"], o["to"]) for o in obliques]
+    if not _all_str(ends):
+        ends = [tuple(_json_labels(list(e), "an oblique", DecompositionError)) for e in ends]
+    return ChainDecomposition._of_labels(labels, ends)
+
+
+def _all_str(groups: Iterable[Iterable]) -> bool:
+    """Whether every label in the groups is a str and not a subclass of it."""
+    return set(map(type, itertools.chain.from_iterable(groups))) <= {str}
 
 
 def random_decomposition(

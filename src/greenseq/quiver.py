@@ -36,8 +36,10 @@ cross-check.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -586,9 +588,15 @@ class MutationSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(str(s) for s in self.steps))
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a == b:
-                raise ConsecutiveRepeatError(f"consecutive repeat at {a!r}")
+        _check_no_repeat(self.steps)
+
+    @classmethod
+    def _trusted(cls, steps: tuple[Label, ...]) -> "MutationSequence":
+        """A sequence of steps known to be str labels; only the repeat check runs."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "steps", steps)
+        _check_no_repeat(steps)
+        return seq
 
     @classmethod
     def from_execution(cls, steps: Iterable[Label]) -> "MutationSequence":
@@ -609,6 +617,12 @@ class MutationSequence:
 
     def __add__(self, other: "MutationSequence") -> "MutationSequence":
         return MutationSequence(self.steps + other.steps)
+
+
+def _check_no_repeat(steps: tuple[Label, ...]) -> None:
+    if any(map(operator.eq, steps, islice(steps, 1, None))):
+        a = next(a for a, b in zip(steps, steps[1:]) if a == b)
+        raise ConsecutiveRepeatError(f"consecutive repeat at {a!r}")
 
 
 Steps = Union[MutationSequence, Sequence[Label]]

@@ -6,6 +6,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from greenseq.decomposition import construct_mgs, decomposition_from_dict, underlying_quiver
+from greenseq.quiver import is_maximal_green_sequence
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -16,5 +19,18 @@ def test_toy_construct_ops_all_pass(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     work = workloads.build_construct(7, tmp_path, toy=True)
+    # record the dict each op loads, to verify its sequence afterwards
+    loaded = []
+    real_op = workloads.construct_op
+
+    def recorded(data):
+        loaded.append(data)
+        return real_op(data)
+
+    monkeypatch.setattr(workloads, "construct_op", recorded)
     assert work.ops
     assert [op.call() for op in work.ops] == [None] * len(work.ops)
+    assert len(loaded) == len(work.ops)
+    for data in loaded:
+        dec = decomposition_from_dict(data)
+        assert is_maximal_green_sequence(underlying_quiver(dec), construct_mgs(dec))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 
 import numpy as np
@@ -47,7 +48,9 @@ from greenseq.fixtures import (
     three_chain_quiver,
 )
 from greenseq.quiver import (
+    MutationSequence,
     Quiver,
+    UnknownVertexError,
     full_subquiver,
     is_maximal_green_sequence,
     make_quiver,
@@ -205,6 +208,27 @@ class TestBuildAndValidate:
                 decompose_with_chains(q, chains)
             assert presented.value.violations == tuple(report)
 
+    def test_chain_vertex_and_label_ends_mix(self):
+        chains = [["a", "b"], ["c"]]
+        for ends in (
+            [(ChainVertex(1, 1), ChainVertex(2, 1))],
+            [("a", ChainVertex(2, 1))],
+            [(ChainVertex(1, 1), "c")],
+        ):
+            dec = build_decomposition(chains, ends)
+            assert dec.obliques == ((ChainVertex(1, 1), ChainVertex(2, 1)),)
+
+    def test_unknown_oblique_end_messages(self):
+        chains = [["a", "b"], ["c"]]
+        with pytest.raises(ValidationFailedError) as outside:
+            build_decomposition(chains, [(ChainVertex(1, 1), ChainVertex(3, 1))])
+        assert str(outside.value) == "no such chain vertex ChainVertex(chain=3, position=1)"
+        for end in ("zz", ["a"], 7):
+            with pytest.raises(quiver.QuiverError) as unknown:
+                build_decomposition(chains, [(end, "c")])
+            assert type(unknown.value) is quiver.QuiverError
+            assert str(unknown.value) == f"oblique endpoint not in any chain: {end!r}"
+
     def test_valid_three_chain_example(self):
         q = three_chain_quiver()
         dec = decompose_with_chains(q, THREE_CHAIN_CHAINS)
@@ -249,6 +273,35 @@ class TestLazyQuiver:
         dec = decomposition_from_dict(data)
         assert len(construct_mgs(dec)) == expected_mgs_length(dec)
         assert descending_order(dec) and dec.vertices()
+
+
+class TestUnknownVertex:
+    """Every lookup by label or chain vertex names what it could not find."""
+
+    def test_is_greater(self):
+        dec = random_decomposition(1, 2, 6)
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
+            is_greater(dec, "nope", "c1p1")
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
+            is_greater(dec, "c1p1", "nope")
+
+    def test_chain_vertex_of(self):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
+            random_decomposition(1, 2, 6).chain_vertex_of("nope")
+
+    def test_label_of(self):
+        dec = random_decomposition(1, 2, 6)
+        for cv in (ChainVertex(3, 1), ChainVertex(1, 99), ChainVertex(0, 1)):
+            with pytest.raises(UnknownVertexError) as err:
+                dec.label_of(cv)
+            assert str(err.value) == f"unknown vertex {cv!r}"
+
+    def test_order_greater(self):
+        rel = random_decomposition(1, 2, 6).order()
+        with pytest.raises(UnknownVertexError, match=r"ChainVertex\(chain=9, position=1\)"):
+            rel.greater(ChainVertex(9, 1), ChainVertex(1, 1))
+        with pytest.raises(UnknownVertexError, match=r"ChainVertex\(chain=1, position=0\)"):
+            rel.greater(ChainVertex(1, 1), ChainVertex(1, 0))
 
 
 class TestOrder:
@@ -347,18 +400,22 @@ class TestOrderAgainstBruteForce:
                 assert place[hi] < place[lo], (seed, hi, lo)
 
     @pytest.mark.parametrize(
-        "covers",
+        "lengths, covers",
         [
-            [(0, 0)],
-            [(0, 1), (1, 0)],
-            [(0, 1), (1, 2), (2, 0), (2, 3)],
+            ((2, 2), [(0, 0)]),
+            ((2, 2), [(0, 1), (1, 0)]),
+            ((2, 2), [(0, 1), (1, 2), (2, 0), (2, 3)]),
+            ((1, 3, 2), [(2, 4), (5, 1)]),
+            ((1, 3, 2), [(3, 1)]),
         ],
-        ids=["self-cover", "two-cycle", "three-cycle"],
+        ids=["self-cover", "two-cycle", "three-cycle", "through-chain-steps", "up-a-chain"],
     )
-    def test_cycle_detected(self, covers):
-        # two chains of two vertices: ints 0, 1 on chain 1 and 2, 3 on chain 2
+    def test_cycle_detected(self, lengths, covers):
+        # (2, 2): ints 0, 1 on chain 1 and 2, 3 on chain 2; (1, 3, 2): 0 on
+        # chain 1, 1-3 on chain 2 and 4, 5 on chain 3.  The last two cycles
+        # close only through the implied chain covers (i, i + 1).
         with pytest.raises(OrderCycleDetectedError):
-            OrderRelation(_Layout((2, 2)), covers)
+            OrderRelation(_Layout(lengths), covers)
 
     def test_construct_at_1600_vertices(self):
         dec = random_decomposition(1600, 160, 1600)
@@ -412,6 +469,35 @@ def full_run_covers(dec) -> list[tuple[int, int]]:
     return list(dict.fromkeys(covers))
 
 
+def heap_kahn_extension(layout, covers) -> tuple[int, ...]:
+    """The descending extension by Kahn's algorithm with a heap over every cover.
+
+    The chain covers (i, i + 1) are added to ``covers`` explicitly, and every
+    ready int goes through the heap, so ties break by smallest int.  Raises
+    OrderCycleDetectedError, naming the smallest int never listed, as
+    :class:`OrderRelation` does.
+    """
+    n = len(layout.chain_of)
+    below: list[list[int]] = [[] for _ in range(n)]
+    above = [0] * n
+    for hi, lo in [(i, i + 1) for i in layout.chain_steps()] + list(covers):
+        below[hi].append(lo)
+        above[lo] += 1
+    ready = [i for i in range(n) if above[i] == 0]
+    out: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        out.append(i)
+        for j in below[i]:
+            above[j] -= 1
+            if above[j] == 0:
+                heapq.heappush(ready, j)
+    if len(out) != n:
+        stuck = next(i for i in range(n) if above[i])
+        raise OrderCycleDetectedError(f"order cycle through {layout.vertex(stuck)}")
+    return tuple(out)
+
+
 def assert_order_matches_full_runs(dec) -> None:
     want = OrderRelation(dec._layout, full_run_covers(dec))
     rel = dec.order()
@@ -448,7 +534,108 @@ class TestOrderAgainstFullRuns:
             assert_order_matches_full_runs(build_decomposition(chains, obliques))
 
 
+def assert_merge_matches_heap_kahn(layout, covers) -> None:
+    """Same extension, or the same cycle error, as Kahn over every cover."""
+    try:
+        want = heap_kahn_extension(layout, covers)
+    except OrderCycleDetectedError as err:
+        with pytest.raises(OrderCycleDetectedError) as got:
+            OrderRelation(layout, covers)
+        assert str(got.value) == str(err)
+    else:
+        assert OrderRelation(layout, covers)._extension == want
+
+
+class TestChainMergeAgainstHeapKahn:
+    """Merging chain heads lists what a heap over every ready int lists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=decomposition_params())
+    def test_random_decompositions(self, params):
+        dec = random_decomposition(*params)
+        assert dec.order()._extension == heap_kahn_extension(dec._layout, full_run_covers(dec))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_QUIVERS))
+    def test_auto_decomposed_fixtures(self, name):
+        _, dec = auto_decompose(FIXTURE_QUIVERS[name]())
+        assert dec.order()._extension == heap_kahn_extension(dec._layout, full_run_covers(dec))
+
+    # _Layout((2, 2)): ints 0, 1 on chain 1 and 2, 3 on chain 2.
+    # _Layout((1, 3, 2)): 0 on chain 1, 1, 2, 3 on chain 2 and 4, 5 on chain 3.
+    HAND_MADE = {
+        "no-covers": ((2, 2), []),
+        "chain-covers-listed": ((2, 2), [(0, 1), (2, 3), (1, 2)]),
+        "chain-covers-only": ((1, 3, 2), [(1, 2), (2, 3), (4, 5)]),
+        "repeated-covers": ((2, 2), [(1, 2), (1, 2), (0, 1), (0, 1)]),
+        "repeated-cross": ((1, 3, 2), [(4, 0), (4, 0), (0, 2), (0, 2)]),
+        "skip-down-other-chain": ((1, 3, 2), [(0, 3), (5, 0)]),
+        "skip-down-own-chain": ((1, 3, 2), [(1, 3), (0, 2), (4, 1)]),
+        "heads-unblocked-late": ((1, 3, 2), [(5, 0), (3, 4)]),
+        "cycle-over-three-chains": ((1, 3, 2), [(3, 0), (5, 1), (2, 4)]),
+        "self-cover": ((2, 2), [(0, 0)]),
+        "two-cycle": ((2, 2), [(0, 1), (1, 0)]),
+        "three-cycle": ((2, 2), [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        "cycle-through-chain-step": ((1, 3, 2), [(2, 4), (5, 1)]),
+        "upward-in-chain": ((1, 3, 2), [(3, 1)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made_covers(self, case):
+        lengths, covers = self.HAND_MADE[case]
+        assert_merge_matches_heap_kahn(_Layout(lengths), covers)
+
+    def test_covers_lists_chain_covers_then_cross_covers_as_given(self):
+        rel = OrderRelation(_Layout((1, 3, 2)), [(4, 0), (2, 3), (0, 2), (4, 0)])
+        ints = [(rel._layout.find(hi), rel._layout.find(lo)) for hi, lo in rel.covers]
+        assert ints == [(1, 2), (2, 3), (4, 5), (4, 0), (0, 2), (4, 0)]
+
+
+class CountingHeapq:
+    """``heapq`` with its push and pop calls counted."""
+
+    def __init__(self):
+        self.pushes = self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
 class TestOrderWork:
+    @pytest.mark.parametrize(
+        "params, pops, pushes",
+        [((1, 1, 1000), 1, 0), ((5, 30, 400), 72, 63), ((1600, 160, 1600), 436, 378)],
+        ids=["one-chain", "30-chains", "160-chains"],
+    )
+    def test_heap_work_pinned(self, monkeypatch, params, pops, pushes):
+        # a walk stays on its chain while it can, so the heap sees about one
+        # push per cross cover, not one per vertex
+        dec = random_decomposition(*params)
+        counted = CountingHeapq()
+        monkeypatch.setattr(decomposition, "heapq", counted)
+        dec.order()
+        assert (counted.pops, counted.pushes) == (pops, pushes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=decomposition_params())
+    def test_pushes_at_most_twice_the_cross_covers(self, params):
+        dec = random_decomposition(*params)
+        counted = CountingHeapq()
+        real = decomposition.heapq
+        decomposition.heapq = counted
+        try:
+            rel = dec.order()
+        finally:
+            decomposition.heapq = real
+        assert counted.pushes <= 2 * len(rel._cross)
+        assert counted.pops == counted.pushes + sum(
+            1 for start in dec._layout.offsets[:-1] if start not in {lo for _, lo in rel._cross}
+        )
+
     def test_each_zigzag_walked_once(self, monkeypatch):
         # from a JSON dict to the constructed MGS, each chain pair's zigzag
         # is walked once, by the validation
@@ -558,6 +745,21 @@ class TestConstructMgs:
         assert ((p == 0) | (p == 1)).all()
         assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
         assert (b == p @ q.matrix @ p.T).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=decomposition_params())
+    def test_matches_the_checked_constructor(self, params):
+        # construct_mgs hands its str steps over unconverted; the checked
+        # constructor, which converts and checks them, gives the same value
+        seq = construct_mgs(random_decomposition(*params))
+        assert all(a != b for a, b in zip(seq.steps, seq.steps[1:]))
+        assert {type(v) for v in seq.steps} == {str}
+        assert seq == MutationSequence(list(seq.steps))
+        assert type(seq.steps) is tuple
+
+    def test_trusted_steps_keep_the_repeat_check(self):
+        with pytest.raises(quiver.ConsecutiveRepeatError, match="consecutive repeat at 'b'"):
+            MutationSequence._trusted(("a", "b", "b", "a"))
 
     def test_strict_prefix_green_but_not_maximal(self):
         dec = random_decomposition(77, 3, 9)

@@ -113,6 +113,102 @@ def test_malformed_decomposition_rejected():
             decomposition_from_dict(data)
 
 
+NOT_A_LABEL = "has a label that is not a string or number"
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        (
+            {"chains": [["a", True], ["b"]], "oblique": [{"from": "a", "to": "b"}]},
+            DecompositionError,
+            f"a chain {NOT_A_LABEL}: True",
+        ),
+        ({"chains": [["a"], [None]]}, DecompositionError, f"a chain {NOT_A_LABEL}: None"),
+        ({"chains": [["a", ["b"]]]}, DecompositionError, f"a chain {NOT_A_LABEL}: ['b']"),
+        (
+            {"chains": [["a"], [{"v": "b"}]]},
+            DecompositionError,
+            f"a chain {NOT_A_LABEL}: {{'v': 'b'}}",
+        ),
+        ({"chains": [["a"], "b"]}, DecompositionError, "a chain must be a list of labels, got str"),
+        (
+            {"chains": [["a"], ["b"]], "oblique": [{"from": "a", "to": False}]},
+            DecompositionError,
+            f"an oblique {NOT_A_LABEL}: False",
+        ),
+        (
+            {"chains": [["a"], ["b"]], "oblique": [{"from": None, "to": "b"}]},
+            DecompositionError,
+            f"an oblique {NOT_A_LABEL}: None",
+        ),
+        (
+            {"chains": [["a"], ["b"]], "oblique": [{"from": "a", "to": ["b"]}]},
+            DecompositionError,
+            f"an oblique {NOT_A_LABEL}: ['b']",
+        ),
+        (
+            {"chains": [["a"], ["b"]], "oblique": [{"from": {"a": 1}, "to": "b"}]},
+            DecompositionError,
+            f"an oblique {NOT_A_LABEL}: {{'a': 1}}",
+        ),
+        (
+            {"chains": [["a"], ["b"]], "oblique": [{"from": "a", "to": "zz"}]},
+            QuiverError,
+            "oblique endpoint not in any chain: 'zz'",
+        ),
+        (
+            {"chains": [[1], [2]], "oblique": [{"from": 1, "to": 3}]},
+            QuiverError,
+            "oblique endpoint not in any chain: '3'",
+        ),
+        (
+            {"chains": [["a"], [None]], "oblique": [{"from": "a", "to": True}]},
+            DecompositionError,
+            f"a chain {NOT_A_LABEL}: None",
+        ),
+    ],
+    ids=[
+        "bool-in-chain",
+        "null-in-chain",
+        "list-in-chain",
+        "object-in-chain",
+        "chain-not-a-list",
+        "bool-end",
+        "null-end",
+        "list-end",
+        "object-end",
+        "unknown-end",
+        "unknown-numeric-end",
+        "chain-reported-before-oblique",
+    ],
+)
+def test_malformed_decomposition_labels(data, error, message):
+    with pytest.raises(error) as err:
+        decomposition_from_dict(data)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_numeric_decomposition_labels_canonicalized():
+    data = {
+        "chains": [[1, 2.5], ["3"]],
+        "oblique": [{"from": 1, "to": "3"}, {"from": 3, "to": 2.5}],
+    }
+    dec = decomposition_from_dict(data)
+    assert dec.chains == (("1", "2.5"), ("3",))
+    assert decomposition_to_dict(dec) == {
+        "chains": [["1", "2.5"], ["3"]],
+        "oblique": [{"from": "1", "to": "3"}, {"from": "3", "to": "2.5"}],
+    }
+    assert {type(v) for chain in dec.chains for v in chain} == {str}
+    # str chains with a numeric end: only the obliques take the per-label check
+    mixed = decomposition_from_dict(
+        {"chains": [["1", "2"], ["3"]], "oblique": [{"from": 1, "to": "3"}]}
+    )
+    assert decomposition_to_dict(mixed)["oblique"] == [{"from": "1", "to": "3"}]
+
+
 @pytest.mark.parametrize(
     "parse, data, error, path",
     [
