@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -34,6 +35,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     UnknownVertexError,
+    _check_no_repeat,
     _framed_rows,
     _replay,
 )
@@ -185,9 +187,10 @@ class ChainDecomposition:
         index = self._index
         try:
             ends = [(index[src], index[dst]) for src, dst in obliques]
+            unknown = None  # every end is a label's int
         except (KeyError, TypeError):  # a ChainVertex, numeric or unknown end
             ends = [(self._resolve(src), self._resolve(dst)) for src, dst in obliques]
-        unknown = _unknown_end(ends)
+            unknown = _unknown_end(ends)
         if unknown is None:
             ends.sort()  # ascending ints are (chain, position) order
         else:  # the end the check meets first, in ChainVertex order
@@ -195,7 +198,7 @@ class ChainDecomposition:
             unknown = _unknown_end(
                 sorted(ends, key=lambda p: [vertex(e) if isinstance(e, int) else e for e in p])
             )
-        violations, self._paths = _violations(self._layout, self._labels, ends, unknown)
+        violations, self._paths = _violations(self._layout, len(self._index), ends, unknown)
         if violations:
             first = violations[0]
             if first.code not in _ERROR_BY_CODE:
@@ -283,8 +286,8 @@ def validate_chains(
     chains = _as_chain_tuples(chains)
     layout = _Layout(len(c) for c in chains)
     ends = [(layout.find(src), layout.find(dst)) for src, dst in obliques]
-    labels = [v for chain in chains for v in chain]
-    return _violations(layout, labels, ends, _unknown_end(ends))[0]
+    distinct = len(set(itertools.chain.from_iterable(chains)))
+    return _violations(layout, distinct, ends, _unknown_end(ends))[0]
 
 
 def _unknown_end(ends: list[tuple]) -> ChainVertex | None:
@@ -292,59 +295,63 @@ def _unknown_end(ends: list[tuple]) -> ChainVertex | None:
     return next((e for pair in ends for e in pair if not isinstance(e, int)), None)
 
 
-def _by_pair(
-    chain_of: list[int], ends: Iterable[tuple[int, int]]
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """The obliques between two chains, grouped by (smaller, larger) chain."""
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for src, dst in ends:
-        ci, cj = chain_of[src], chain_of[dst]
-        if ci != cj:
-            by_pair.setdefault((min(ci, cj), max(ci, cj)), []).append((src, dst))
-    return by_pair
-
-
 def _violations(
     layout: _Layout,
-    labels: Sequence[Label],
+    distinct: int,
     ends: list[tuple[int, int]],
     unknown: ChainVertex | None = None,
 ) -> tuple[list[Violation], list[list[int]]]:
     """Every broken rule of the int obliques ``ends`` over ``layout``, and the zigzags.
 
-    ``unknown`` is an oblique end outside the layout; after a repeated label
-    and an empty decomposition it is the only violation reported.  Every
-    other message names its vertices as ChainVertex values.  The zigzags
-    are the valid chain pairs' paths, in (smaller, larger) chain order;
-    :func:`cover_relations` reads them off a valid decomposition.
+    ``distinct`` counts the distinct vertex labels; fewer than the layout's
+    vertices means a label repeats.  ``unknown`` is an oblique end outside
+    the layout; after a repeated label and an empty decomposition it is the
+    only violation reported.  Every other message names its vertices as
+    ChainVertex values.  The violations come in this order: obliques inside
+    one chain, in the order of ``ends``; broken zigzags, by (smaller, larger)
+    chain pair; chain pairs that close a cycle, by pair; a disconnected
+    chain graph.  The zigzags are the valid chain pairs' paths, in pair
+    order; :func:`cover_relations` reads them off a valid decomposition.
     """
-    if len(set(labels)) != len(labels):
+    n_chains = len(layout.lengths)
+    if distinct != len(layout.chain_of):
         return [Violation("duplicate-vertex", "vertex-map", "chains repeat a vertex label")], []
-    if not labels:
+    if not distinct:
         return [Violation("disconnected", "connected", "no vertices")], []
     if unknown is not None:
         return [Violation("unknown-vertex", "vertex-map", f"no such chain vertex {unknown}")], []
     chain_of, vertex = layout.chain_of, layout.vertex
-    out = [
-        Violation(
-            "oblique-within-chain",
-            "oblique-zigzag",
-            f"oblique {vertex(src)} -> {vertex(dst)} stays inside chain {chain_of[src]}",
-        )
-        for src, dst in ends
-        if chain_of[src] == chain_of[dst]
-    ]
-    by_pair = _by_pair(chain_of, ends)
+    out: list[Violation] = []
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for arrow in ends:
+        ci, cj = chain_of[arrow[0]], chain_of[arrow[1]]
+        if ci == cj:
+            src, dst = arrow
+            out.append(
+                Violation(
+                    "oblique-within-chain",
+                    "oblique-zigzag",
+                    f"oblique {vertex(src)} -> {vertex(dst)} stays inside chain {ci}",
+                )
+            )
+            continue
+        pair = (ci, cj) if ci < cj else (cj, ci)
+        arrows = by_pair.get(pair)
+        if arrows is None:
+            by_pair[pair] = [arrow]
+        else:
+            arrows.append(arrow)
+    pairs = sorted(by_pair)
     paths = []
-    for _, arrows in sorted(by_pair.items()):
-        path = _zigzag(layout, arrows)
+    for pair in pairs:
+        path = _zigzag(layout, by_pair[pair])
         if isinstance(path, Violation):
             out.append(path)
         else:
             paths.append(path)
 
     # Chain-adjacency graph must be a forest; with connectivity, a tree.
-    parent = list(range(len(layout.lengths) + 1))
+    parent = list(range(n_chains + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -352,7 +359,8 @@ def _violations(
             x = parent[x]
         return x
 
-    for x, y in sorted(by_pair):
+    components = n_chains
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx == ry:
             out.append(
@@ -364,13 +372,13 @@ def _violations(
             )
         else:
             parent[rx] = ry
-    roots = {find(c) for c in range(1, len(layout.lengths) + 1)}
-    if len(roots) > 1:
+            components -= 1
+    if components > 1:
         out.append(
             Violation(
                 "disconnected",
                 "connected",
-                f"chain-adjacency graph has {len(roots)} components",
+                f"chain-adjacency graph has {components} components",
             )
         )
     return out, paths
@@ -380,11 +388,44 @@ def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Viola
     """One chain pair's obliques walked from their source, or the rule they break.
 
     They must form a single path, alternating between the two chains, whose
-    positions strictly increase on each chain.
+    positions strictly increase on each chain.  Whole-list tests decide
+    that: as many out-ends and as many in-ends as arrows, one source, a walk
+    from it through every arrow, and each vertex of the walk above the one
+    two steps before it, which is on the same chain since every arrow
+    crosses to the other one.  Only when one fails does
+    :func:`_zigzag_fault` go through the arrows one by one to name the
+    first offence.
+    """
+    if len(arrows) == 1:
+        return list(arrows[0])
+    outgoing = dict(arrows)
+    entered = set(outgoing.values())
+    if len(outgoing) == len(entered) == len(arrows):
+        sources = outgoing.keys() - entered
+        if len(sources) == 1:
+            # every in-degree is 1, so the walk from the source never revisits
+            v = sources.pop()
+            path = [v]
+            step = outgoing.get
+            v = step(v)
+            while v is not None:
+                path.append(v)
+                v = step(v)
+            if len(path) == len(arrows) + 1 and all(map(operator.lt, path, path[2:])):
+                return path
+    return _zigzag_fault(layout, arrows)
+
+
+def _zigzag_fault(layout: _Layout, arrows: list[tuple[int, int]]) -> Violation:
+    """The first rule broken by a chain pair's obliques, which :func:`_zigzag` rejected.
+
+    Two obliques leaving or entering one vertex (the first such arrow in
+    the given order), then obliques that split into several paths, then the
+    first vertex on the walk from the first source that is not above the
+    vertex before it on its chain.
     """
     chain_of, vertex = layout.chain_of, layout.vertex
-    src, dst = arrows[0]
-    pair = tuple(sorted((chain_of[src], chain_of[dst])))
+    pair = tuple(sorted((chain_of[arrows[0][0]], chain_of[arrows[0][1]])))
 
     def broken(code: str, what: str) -> Violation:
         return Violation(code, "oblique-zigzag", f"chains {pair}: {what}")
@@ -405,15 +446,13 @@ def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Viola
         path.append(outgoing[path[-1]])
     if len(path) != len(arrows) + 1:
         return broken("multiple-paths-between-chains", "obliques split into several paths")
-    last: dict[int, int] = {}
-    for x in path:
-        if x <= last.get(chain_of[x], -1):
+    for before, x in zip(path, path[2:]):
+        if x <= before:
             return broken(
                 "non-increasing-positions",
                 f"zigzag positions not strictly increasing at {vertex(x)}",
             )
-        last[chain_of[x]] = x
-    return path
+    raise AssertionError(f"chains {pair}: the zigzag breaks no rule")
 
 
 def underlying_quiver(dec: ChainDecomposition) -> Quiver:
@@ -468,7 +507,7 @@ def decompose_with_chains(
             vertical.add((high, low))
     index = dec._index
     ends = [(index[u], index[v]) for u, v, _ in q.arrows() if (u, v) not in vertical]
-    violations, dec._paths = _violations(dec._layout, dec._labels, ends)
+    violations, dec._paths = _violations(dec._layout, len(dec._index), ends)
     if violations:
         raise ValidationFailedError(violations)
     dec._obliques = tuple(sorted(ends))
@@ -667,16 +706,24 @@ def construct_mgs(dec: ChainDecomposition) -> MutationSequence:
     length :func:`expected_mgs_length`.  The extension is the one
     :class:`OrderRelation` merged from the chain heads.  The steps are the
     chain tuples' labels, str already, so the sequence takes them without
-    converting them again; only its consecutive-repeat check runs.
+    converting them again.  Chain labels are distinct and each run is a
+    prefix of its chain, so a consecutive repeat can only sit where two runs
+    meet: only there is it checked, with the message of the full check.
     """
-    chain_of, offsets = dec._layout.chain_of, dec._layout.offsets
+    chains, layout = dec.chains, dec._layout
+    lengths, chain_of, offsets = layout.lengths, layout.chain_of, layout.offsets
     steps: list[Label] = []
+    last = None
     for i in dec.order()._extension:
-        chain = dec.chains[chain_of[i] - 1]
+        c = chain_of[i] - 1
         # vertex i sits at position i - offset + 1, so its run has
-        # len(chain) - i + offset steps
-        steps.extend(chain[: len(chain) - i + offsets[chain_of[i] - 1]])
-    return MutationSequence._trusted(tuple(steps))
+        # length - i + offset steps
+        run = chains[c][: lengths[c] - i + offsets[c]]
+        if run[0] == last:
+            _check_no_repeat((last, run[0]))  # raises, as the full check would
+        last = run[-1]
+        steps.extend(run)
+    return MutationSequence._unchecked(tuple(steps))
 
 
 def two_chain_mgs(dec: ChainDecomposition) -> MutationSequence:
@@ -782,8 +829,9 @@ def decomposition_from_dict(data: dict) -> ChainDecomposition:
         isinstance(o, dict) and "from" in o and "to" in o for o in obliques
     ):
         raise DecompositionError("'oblique' must be a list of objects with 'from' and 'to'")
-    for i, o in enumerate(obliques):
-        _known_keys(o, ("from", "to"), f"oblique[{i}].", DecompositionError)
+    if set(map(len, obliques)) - {2}:  # some object has a key besides 'from' and 'to'
+        for i, o in enumerate(obliques):
+            _known_keys(o, ("from", "to"), f"oblique[{i}].", DecompositionError)
     # one type scan admits all-str labels as they are; any other label
     # takes the per-label check, which converts numbers and names the rest
     if all(type(c) is list for c in chains) and _all_str(chains):

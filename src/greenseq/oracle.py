@@ -284,10 +284,14 @@ def enumerate_green_sequences(
     reachable state space is); the node budget caps the total number of
     mutations performed.  This lists every path, so it costs as many
     mutations as there are green sequences: use :func:`count_mgs` for counts.
+    Each sequence is a copy of the path, so one at depth d costs O(d).  The
+    steps are the quiver's str labels, and a green path never repeats a
+    step, since the vertex just mutated turns red; so the sequences are
+    built without the checks of the public constructor.
     """
     search = _Search(q, max_len, node_cap, mutable_cap)
     for path, maximal in _walk(search):
-        yield MutationSequence(search.steps(path)), maximal
+        yield MutationSequence._unchecked(tuple(search.steps(path))), maximal
 
 
 def count_mgs(
@@ -369,22 +373,41 @@ def _min_bfs(search: _Search) -> int | None:
 
 
 def _min_iddfs(search: _Search) -> int | None:
+    """Iterative deepening: the least depth within ``max_len`` at which a
+    green path from the start ends all red, or None."""
     max_len = search.max_len
     if max_len is None:
         raise QuiverError("dfs engine needs max_len to be able to answer None")
+    for depth in range(max_len + 1):
+        if _reaches_all_red(search, depth):
+            return depth
+    return None
 
-    def bounded(state: State, depth_left: int) -> bool:
+
+def _reaches_all_red(search: _Search, depth: int) -> bool:
+    """Whether a green path of at most ``depth`` steps from the start ends all red.
+
+    Depth-first without a memo, on an explicit stack of (state, pending
+    green moves) frames, so a deep bound ends at the budget, never in
+    ``RecursionError``.  Children are made, and the budget spent, in
+    ascending move order, and the search stops at the first all-red state.
+    """
+    stack: list[tuple[State, Iterator[int]]] = []
+    state = search.start
+    while True:
         green, red = search.colors(state)
         if len(red) == len(state[0]):
             return True
-        if depth_left == 0:
+        if len(stack) < depth:
+            stack.append((state, iter(green)))
+        while stack:
+            k = next(stack[-1][1], None)
+            if k is not None:
+                state = search.mutate(stack[-1][0], k)
+                break
+            stack.pop()
+        else:
             return False
-        return any(bounded(search.mutate(state, k), depth_left - 1) for k in green)
-
-    for depth in range(max_len + 1):
-        if bounded(search.start, depth):
-            return depth
-    return None
 
 
 def oracle_report(

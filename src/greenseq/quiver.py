@@ -593,9 +593,14 @@ class MutationSequence:
     @classmethod
     def _trusted(cls, steps: tuple[Label, ...]) -> "MutationSequence":
         """A sequence of steps known to be str labels; only the repeat check runs."""
+        _check_no_repeat(steps)
+        return cls._unchecked(steps)
+
+    @classmethod
+    def _unchecked(cls, steps: tuple[Label, ...]) -> "MutationSequence":
+        """A sequence of str steps that the caller knows has no consecutive repeat."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "steps", steps)
-        _check_no_repeat(steps)
         return seq
 
     @classmethod
@@ -616,7 +621,7 @@ class MutationSequence:
         return iter(self.steps)
 
     def __add__(self, other: "MutationSequence") -> "MutationSequence":
-        return MutationSequence(self.steps + other.steps)
+        return MutationSequence._trusted(self.steps + other.steps)
 
 
 def _check_no_repeat(steps: tuple[Label, ...]) -> None:

@@ -236,6 +236,79 @@ class TestBuildAndValidate:
         assert underlying_quiver(dec) == q
 
 
+def cv(chain: int, position: int) -> str:
+    return repr(ChainVertex(chain, position))
+
+
+class TestViolationOrder:
+    """Several rules broken at once: the whole report, in order.
+
+    ``build_decomposition`` sorts the obliques by (chain, position) before
+    the check; ``decompose_with_chains`` hands them on in the quiver's
+    arrow order, by label.  Chain 1 lists its labels in descending order
+    and sorts after chain 2, so the two orders differ, and with them the
+    order of the within-chain violations and which fault of pair (1, 2)
+    is named.
+    """
+
+    CHAINS = [["zc", "zb", "za"], ["y1", "y2", "y3"], ["x1", "x2"], ["w1"], ["v1"]]
+    OBLIQUES = [
+        ("za", "zc"),  # inside chain 1
+        ("y1", "y3"),  # inside chain 2
+        ("zb", "y1"), ("zc", "y1"), ("zb", "y2"),  # two enter (2, 1), two leave (1, 2)
+        ("y1", "x1"), ("y3", "x2"),  # pair (2, 3) splits
+        ("zb", "x2"), ("x2", "zc"),  # pair (1, 3) falls back on chain 1
+        ("x1", "w1"),  # pair (3, 4) is fine; chain 5 has no oblique
+    ]
+    WITHIN = [
+        ("oblique-within-chain", f"oblique {cv(1, 3)} -> {cv(1, 1)} stays inside chain 1"),
+        ("oblique-within-chain", f"oblique {cv(2, 1)} -> {cv(2, 3)} stays inside chain 2"),
+    ]
+    REST = [
+        (
+            "non-increasing-positions",
+            f"chains (1, 3): zigzag positions not strictly increasing at {cv(1, 1)}",
+        ),
+        ("multiple-paths-between-chains", "chains (2, 3): obliques split into several paths"),
+        ("chain-graph-cycle", "chains 2 and 3 close a cycle in the chain-adjacency graph"),
+        ("disconnected", "chain-adjacency graph has 2 components"),
+    ]
+
+    @staticmethod
+    def report(error) -> list[tuple[str, str]]:
+        return [(v.code, v.message) for v in error.violations]
+
+    def test_build_decomposition(self):
+        want = self.WITHIN + [
+            ("non-alternating-path", f"chains (1, 2): two obliques enter {cv(2, 1)}")
+        ] + self.REST
+        chain_vertex = {
+            v: ChainVertex(c, p)
+            for c, chain in enumerate(self.CHAINS, 1)
+            for p, v in enumerate(chain, 1)
+        }
+        ends = [(chain_vertex[s], chain_vertex[d]) for s, d in self.OBLIQUES]
+        for obliques in (self.OBLIQUES, ends, self.OBLIQUES[::-1]):
+            with pytest.raises(ObliqueWithinChainError) as built:
+                build_decomposition(self.CHAINS, obliques)
+            assert type(built.value) is ObliqueWithinChainError
+            assert str(built.value) == want[0][1]  # the typed error names the first
+            assert self.report(built.value) == want
+        assert [(v.code, v.message) for v in validate_chains(self.CHAINS, ends)] == want
+
+    def test_decompose_with_chains(self):
+        want = self.WITHIN[::-1] + [
+            ("non-alternating-path", f"chains (1, 2): two obliques leave {cv(1, 2)}")
+        ] + self.REST
+        vertical = [(high, low) for c in self.CHAINS for low, high in zip(c, c[1:])]
+        q = make_quiver([v for c in self.CHAINS for v in c], vertical + self.OBLIQUES)
+        with pytest.raises(ValidationFailedError) as presented:
+            decompose_with_chains(q, self.CHAINS)
+        assert type(presented.value) is ValidationFailedError
+        assert str(presented.value) == "; ".join(message for _, message in want)
+        assert self.report(presented.value) == want
+
+
 @st.composite
 def decomposition_params(draw):
     """(seed, chains, max_vertices) for :func:`random_decomposition`: 1-20 chains, n <= 200."""
@@ -638,21 +711,32 @@ class TestOrderWork:
 
     def test_each_zigzag_walked_once(self, monkeypatch):
         # from a JSON dict to the constructed MGS, each chain pair's zigzag
-        # is walked once, by the validation
+        # is walked once, by the validation; the per-arrow scan that names
+        # a broken rule runs once per broken pair, and never on valid input
         dec = random_decomposition(5, 30, 400)
         pairs = {frozenset((src.chain, dst.chain)) for src, dst in dec.obliques}
         data = decomposition_to_dict(dec)
-        walked = Counter()
-        real = decomposition._zigzag
+        walked, scanned = Counter(), Counter()
 
-        def counted(layout, arrows):
-            walked[frozenset(layout.chain_of[x] for x in arrows[0])] += 1
-            return real(layout, arrows)
+        def counting(name, counter):
+            real = getattr(decomposition, name)
 
-        monkeypatch.setattr(decomposition, "_zigzag", counted)
+            def counted(layout, arrows):
+                counter[frozenset(layout.chain_of[x] for x in arrows[0])] += 1
+                return real(layout, arrows)
+
+            monkeypatch.setattr(decomposition, name, counted)
+
+        counting("_zigzag", walked)
+        counting("_zigzag_fault", scanned)
         construct_mgs(decomposition_from_dict(data))
         assert len(pairs) == 29  # the edges of a tree on 30 chains
         assert walked == Counter(dict.fromkeys(pairs, 1))
+        assert not scanned
+        with pytest.raises(ObliqueWithinChainError):
+            build_decomposition(TestViolationOrder.CHAINS, TestViolationOrder.OBLIQUES)
+        broken = {frozenset((1, 2)), frozenset((1, 3)), frozenset((2, 3))}
+        assert scanned == Counter(dict.fromkeys(broken, 1))
 
     def test_cover_list_has_no_repeats(self, monkeypatch):
         handed = []
@@ -761,6 +845,43 @@ class TestConstructMgs:
         with pytest.raises(quiver.ConsecutiveRepeatError, match="consecutive repeat at 'b'"):
             MutationSequence._trusted(("a", "b", "b", "a"))
 
+    @settings(max_examples=60, deadline=None)
+    @given(params=decomposition_params(), data=st.data())
+    def test_repeat_check_where_runs_meet(self, params, data):
+        # the check where runs meet fires exactly when the check over
+        # every step does, on the extension and on a shuffled one
+        dec = random_decomposition(*params)
+        assert_repeat_verdicts_agree(dec, dec.order()._extension)
+        assert_repeat_verdicts_agree(dec, data.draw(st.permutations(dec.order()._extension)))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_QUIVERS))
+    def test_repeat_check_where_runs_meet_on_fixtures(self, name):
+        _, dec = auto_decompose(FIXTURE_QUIVERS[name]())
+        extension = dec.order()._extension
+        assert_repeat_verdicts_agree(dec, extension)
+        assert_repeat_verdicts_agree(dec, extension[::-1])
+
+    def test_forged_extension_repeats_where_runs_meet(self, monkeypatch):
+        # chain 1 is a1 <- a2 <- a3; listing its bottom vertex a3 (run a1)
+        # right before its top a1 (run a1 a2 a3) repeats a1 where they meet
+        dec = build_decomposition([["a1", "a2", "a3"], ["b1"]], [("a1", "b1")])
+        rel = dec.order()
+        assert rel._extension == (0, 3, 1, 2)
+        monkeypatch.setattr(rel, "_extension", (3, 2, 0, 1))
+        steps = ("b1", "a1", "a1", "a2", "a3", "a1", "a2")
+        with pytest.raises(quiver.ConsecutiveRepeatError) as full:
+            MutationSequence(steps)
+        with pytest.raises(quiver.ConsecutiveRepeatError) as joined:
+            construct_mgs(dec)
+        assert type(joined.value) is quiver.ConsecutiveRepeatError
+        assert str(joined.value) == str(full.value) == "consecutive repeat at 'a1'"
+
+    def test_concatenation_checks_the_join(self):
+        a, b = MutationSequence(("x", "y")), MutationSequence(("z", "x"))
+        assert (a + b).steps == ("x", "y", "z", "x")
+        with pytest.raises(quiver.ConsecutiveRepeatError, match="consecutive repeat at 'x'"):
+            b + a
+
     def test_strict_prefix_green_but_not_maximal(self):
         dec = random_decomposition(77, 3, 9)
         q = underlying_quiver(dec)
@@ -771,6 +892,30 @@ class TestConstructMgs:
             prefix = MutationSequence(seq.steps[:cut])
             assert is_green_sequence(q, prefix)
             assert not is_maximal_green_sequence(q, prefix)
+
+
+def assert_repeat_verdicts_agree(dec, extension) -> None:
+    """``construct_mgs`` over ``extension`` raises exactly the error that the
+    full repeat check raises on the concatenated runs, or gives those runs."""
+    steps = []
+    for i in extension:
+        cv = dec._layout.vertex(i)
+        steps += dec.chains[cv.chain - 1][: dec.chain_lengths[cv.chain - 1] - cv.position + 1]
+    try:
+        quiver._check_no_repeat(tuple(steps))
+        want = None
+    except quiver.ConsecutiveRepeatError as err:
+        want = str(err)
+    rel = dec.order()
+    kept, rel._extension = rel._extension, tuple(extension)
+    try:
+        assert construct_mgs(dec).steps == tuple(steps)
+        got = None
+    except quiver.ConsecutiveRepeatError as err:
+        got = str(err)
+    finally:
+        rel._extension = kept
+    assert got == want
 
 
 class TestTwoChain:

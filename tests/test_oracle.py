@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import sys
 from collections import deque
 from math import comb
 
@@ -34,6 +35,7 @@ from greenseq.oracle import (
     oracle_report,
 )
 from greenseq.quiver import (
+    MutationSequence,
     QuiverError,
     final_state,
     frame,
@@ -164,6 +166,40 @@ class TestEnumeration:
         q = linear_a(3)[0]
         for seq, maximal in enumerate_green_sequences(q):
             assert bool(is_maximal_green_sequence(q, seq)) == maximal
+
+    @pytest.mark.parametrize(
+        "q, max_len, node_cap",
+        [
+            (linear_a(3)[0], None, 1000),
+            (linear_a(4)[0], None, 1000),
+            (triangle(), None, 1000),
+            (fig8_quiver(), 4, 5000),
+            (fig8_quiver(), None, 500),
+            (underlying_quiver(random_decomposition(11, 3, 5)), None, 1000),
+            (KRONECKER, None, 300),
+        ],
+        ids=["a3", "a4", "triangle", "fig8-bounded", "fig8-budget", "decomposition", "kronecker"],
+    )
+    def test_sequences_equal_the_checked_constructor(self, q, max_len, node_cap):
+        # the sequences are built without the public constructor's checks;
+        # it would make the same ones, in the same order, with the same flags
+        def listed(make):
+            out = []
+            try:
+                for item in make():
+                    out.append(item)
+            except BudgetExceededError:
+                out.append("budget")
+            return out
+
+        search = _Search(q, max_len, node_cap, 8)
+        want = listed(
+            lambda: ((MutationSequence(search.steps(path)), m) for path, m in _walk(search))
+        )
+        got = listed(lambda: enumerate_green_sequences(q, max_len, node_cap))
+        assert got == want
+        for seq, _ in got[:-1] if got[-1] == "budget" else got:
+            assert type(seq.steps) is tuple and {type(v) for v in seq.steps} <= {str}
 
 
 class TestCounts:
@@ -308,6 +344,21 @@ class TestBidirectional:
         # budget ends the search
         with pytest.raises(BudgetExceededError):
             min_mgs_length(MARKOV, node_cap=2000)
+
+    def test_iddfs_deeper_than_the_recursion_limit_ends_at_the_budget(self):
+        # the iterative deepening keeps its path on an explicit stack, so a
+        # bound far deeper than the interpreter's recursion limit ends at
+        # the node budget (Markov has infinite green paths and no MGS)
+        depth, caller = 0, sys._getframe()
+        while caller is not None:
+            depth, caller = depth + 1, caller.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            with pytest.raises(BudgetExceededError, match="search exceeded 50000 nodes"):
+                min_mgs_length(MARKOV, max_len=200, engine="dfs", node_cap=50_000)
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_max_len_bounds_the_sum_of_the_depths(self):
         q = oriented_cycle(4)

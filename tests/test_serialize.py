@@ -232,8 +232,17 @@ def test_numeric_decomposition_labels_canonicalized():
             DecompositionError,
             "oblique[0].m",
         ),
+        (
+            decomposition_from_dict,
+            {
+                "chains": [["a"], ["b"], ["c"]],
+                "oblique": [{"from": "a", "to": "b"}, {"to": "c", "via": 1, "from": "b"}],
+            },
+            DecompositionError,
+            "oblique[1].via",
+        ),
     ],
-    ids=["quiver", "arrow", "sequence", "decomposition", "oblique"],
+    ids=["quiver", "arrow", "sequence", "decomposition", "oblique", "later-oblique"],
 )
 def test_unknown_key_rejected(parse, data, error, path):
     with pytest.raises(error, match=f"unknown key {re.escape(path)};"):
