@@ -13,12 +13,15 @@ Labelling conventions (paths run 1..n):
 The diagonal symmetrizer d is normalized to min d = 1, so that
 B = diag(d) @ C is symmetric and max d equals 1 for the simply laced types,
 2 for B/C/F and 3 for G.
+
+``cartan_data`` builds each (type, rank) once and hands the same value to
+every caller afterwards, so its Cartan matrix is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,8 +69,18 @@ class CartanData:
 
 
 def cartan_data(letter: str, rank: int) -> CartanData:
-    """Cartan data for one finite Dynkin type; raises UnsupportedTypeError."""
-    letter = letter.upper()
+    """Cartan data for one finite Dynkin type; raises UnsupportedTypeError.
+
+    Built once per (upper-cased letter, rank); later calls return the same
+    value, whose ``cartan`` array is read-only.
+    """
+    return _cartan_data(letter.upper(), rank)
+
+
+# 32 entries hold every supported type of rank up to 8; the bound keeps a
+# long run over labels of many large ranks from holding every n x n matrix
+@lru_cache(maxsize=32)
+def _cartan_data(letter: str, rank: int) -> CartanData:
     if letter not in _MIN_RANK:
         raise UnsupportedTypeError(f"unknown type {letter!r}")
     if rank < _MIN_RANK[letter] or rank > _MAX_RANK.get(letter, 10**9):
@@ -104,6 +117,7 @@ def cartan_data(letter: str, rank: int) -> CartanData:
     for i, j, cij, cji in bonds:
         c[i - 1, j - 1] = cij
         c[j - 1, i - 1] = cji
+    c.setflags(write=False)
     data = CartanData(letter, rank, c, tuple(d))
     sym = data.symmetrized
     if not np.array_equal(sym, sym.T):

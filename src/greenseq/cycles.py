@@ -5,8 +5,10 @@ either a single arrow (a bridge) or three or more vertices any two of which
 lie on a common simple cycle.  Every simple cycle lies inside one block, and
 a block is an induced subgraph, so the family recognizers read their
 conditions off the blocks in linear time instead of listing cycles.  The
-blocks are computed once per quiver and stored on it, so the recognizers
-that ``families.auto_decompose`` runs in turn share one pass.
+block census, each block with its oriented cycle or None, is computed once
+per quiver by one pass over its int adjacency and stored on it, so the
+recognizers that ``families.auto_decompose`` runs in turn (type A, type D
+and the cycle peeling below) walk each block at most once between them.
 
 Every simple cycle is oriented and every arrow lies on one exactly when
 every block is a single oriented cycle: two cycles sharing an arrow span a
@@ -40,24 +42,15 @@ def oriented_cycle(q: Quiver, vertices: Iterable[Label]) -> tuple[Label, ...] | 
 
     The cycle is listed in arrow direction from its smallest label.  None
     when there are fewer than three vertices, a chord, a reversed arrow or
-    more than one cycle.
+    more than one cycle.  A block's answer is read off the block census.
     """
     inside = set(vertices)
     if len(inside) < 3:
         return None
-    succ = {}
-    for v in inside:
-        outs = [w for w in q.out_neighbors(v) if w in inside]
-        ins = [w for w in q.in_neighbors(v) if w in inside]
-        if len(outs) != 1 or len(ins) != 1:
-            return None
-        succ[v] = outs[0]
-    cycle = [min(inside)]
-    while len(cycle) < len(inside):
-        cycle.append(succ[cycle[-1]])
-        if cycle[-1] == cycle[0]:
-            return None
-    return tuple(cycle)
+    census, block = q._blocks, tuple(sorted(inside))
+    if block in census:
+        return census[block]
+    return q._cycle_on({q.index(v) for v in inside})
 
 
 def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:
@@ -72,7 +65,7 @@ def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:
         return None
     if q.max_multiplicity() > 1:
         return None
-    cycles = [oriented_cycle(q, block) for block in blocks(q)]
+    cycles = list(q._blocks.values())
     if None in cycles:
         return None
     if not cycles:

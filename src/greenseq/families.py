@@ -16,7 +16,7 @@ from .decomposition import (
     build_decomposition,
     decompose_with_chains,
 )
-from .hl import InconsistentLabelsError, hl_decompose, parse_hl_label
+from .hl import InconsistentLabelsError, parse_window, rule_chains
 from .quiver import Quiver, QuiverError, make_quiver
 from .type_a import NotTypeAError, _peel, triangles
 from .type_d import classify_type_d, type_d_decompose
@@ -33,10 +33,13 @@ def linear_a(n: int) -> tuple[Quiver, ChainDecomposition]:
 
 
 def _try_spectral(q: Quiver) -> ChainDecomposition | None:
+    """The first Cartan type whose arrow rule the (i, r) labels of ``q``
+    follow, on one parse of the labels; None when none does."""
     try:
-        nodes = {parse_hl_label(v)[0] for v in q.vertices}
+        window, canonical = parse_window(q)
     except InconsistentLabelsError:
         return None
+    nodes = {i for i, _ in window}
     if not nodes or min(nodes) < 1:
         return None
     rank = max(nodes)
@@ -46,7 +49,7 @@ def _try_spectral(q: Quiver) -> ChainDecomposition | None:
         except UnsupportedTypeError:
             continue
         try:
-            return hl_decompose(q, cartan)
+            return decompose_with_chains(q, rule_chains(q, cartan, window, canonical))
         except (InconsistentLabelsError, DecompositionError):
             continue
     return None

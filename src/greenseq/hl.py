@@ -8,6 +8,11 @@ infinite quiver has vertex set I x Z and an arrow
 Finite windows of it decompose into vertical chains (i, a) <- (i, a - 2 d_i)
 <- ... joined by oblique zigzags, one per adjacent Dynkin node pair, and the
 chain-adjacency graph mirrors the Dynkin diagram, hence is a tree.
+
+A quiver's labels are parsed once (:func:`parse_window`); one helper then
+checks the parsed window against the arrow rule of a given Cartan type and
+cuts it into those chains.  ``hl_decompose`` runs it for one type, and
+``families.auto_decompose`` for each type in turn on one parse.
 """
 
 from __future__ import annotations
@@ -43,21 +48,31 @@ def parse_hl_label(label: Label) -> HLVertex:
     return int(match.group(1)), int(match.group(2))
 
 
+def _shifts(cartan: CartanData) -> list[list[tuple[int, int]]]:
+    """The arrow rule by node: (i, r) -> (j, r + shift) for each (j, shift)
+    in entry i - 1, one per j with b_ij != 0."""
+    return [
+        [
+            (j, cartan.b(i, j) - cartan.d(i) + cartan.d(j))
+            for j in cartan.nodes
+            if cartan.b(i, j) != 0
+        ]
+        for i in cartan.nodes
+    ]
+
+
 def hl_arrows(
     cartan: CartanData, window: Iterable[HLVertex]
 ) -> list[tuple[HLVertex, HLVertex]]:
     """All rule arrows with both endpoints inside the window."""
     vertices = sorted(set(window))
     present = set(vertices)
+    shifts = _shifts(cartan)
     out = []
     for i, r in vertices:
-        for j in cartan.nodes:
-            bij = cartan.b(i, j)
-            if bij == 0:
-                continue
-            s = r - cartan.d(i) + bij + cartan.d(j)
-            if (j, s) in present:
-                out.append(((i, r), (j, s)))
+        for j, shift in shifts[i - 1]:
+            if (j, r + shift) in present:
+                out.append(((i, r), (j, r + shift)))
     return out
 
 
@@ -102,27 +117,64 @@ def hl_ball(cartan: CartanData, seed: HLVertex, radius: int) -> list[HLVertex]:
     return sorted(seen)
 
 
-def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
-    """Chain decomposition of a connected window with (i,r) vertex labels.
+def parse_window(q: Quiver) -> tuple[dict[HLVertex, int], bool]:
+    """Each vertex of ``q`` as a parsed (i, r) label mapped to its index, and
+    whether every label is canonical (as :func:`hl_label` writes it).
 
-    Chains are the maximal vertical runs (i, a) <- (i, a - 2 d_i) <- ...;
-    everything else becomes oblique.  Raises InconsistentLabelsError when the
-    labels do not parse or the arrow set does not match the arrow rule.
+    Raises InconsistentLabelsError at the first label that does not parse.
+    Two labels of one vertex, such as "(1,0)" and "(1, 0)", share one key;
+    neither is canonical.
     """
-    vertices = [parse_hl_label(v) for v in q.vertices]
-    _check_window(cartan, vertices)
+    window, canonical = {}, True
+    for k, label in enumerate(q.vertices):
+        vertex = parse_hl_label(label)
+        window[vertex] = k
+        canonical = canonical and hl_label(vertex) == label
+    return window, canonical
+
+
+def _follows_rule(q: Quiver, cartan: CartanData, window: dict[HLVertex, int]) -> bool:
+    """Whether the arrows of ``q`` are exactly the rule arrows of its window.
+
+    Walks the rule arrows vertex by vertex and stops at the first one that
+    ``q`` lacks or carries more than once; then an equal count means that
+    ``q`` has no other arrow.
+    """
+    weight = q._adjacency.weight
+    shifts = _shifts(cartan)
+    count = 0
+    for (i, r), k in window.items():
+        for j, shift in shifts[i - 1]:
+            target = window.get((j, r + shift))
+            if target is not None:
+                if weight.get((k, target)) != 1:
+                    return False
+                count += 1
+    return count == len(weight)
+
+
+def rule_chains(
+    q: Quiver, cartan: CartanData, window: dict[HLVertex, int], canonical: bool
+) -> list[list[Label]]:
+    """The vertical runs of a window that follows the arrow rule, as chains.
+
+    ``window`` and ``canonical`` are what :func:`parse_window` returns for
+    ``q``.  Raises as :func:`hl_decompose` does, in the same order: an empty
+    or out-of-rank window, then labels or arrows that do not match the
+    rule, then a window that is not connected.
+    """
+    _check_window(cartan, window)
     # a non-canonical label such as "(1, 0)", and so also two labels of one
-    # vertex, fails the label comparison
-    if [hl_label(v) for v in vertices] != list(q.vertices) or sorted(
-        (hl_label(u), hl_label(v), 1) for u, v in hl_arrows(cartan, vertices)
-    ) != q.arrows():
+    # vertex, fails as the arrows do
+    if not (canonical and _follows_rule(q, cartan, window)):
         raise InconsistentLabelsError("arrow set does not match the arrow rule")
     if not q.is_connected():
         raise InconsistentLabelsError("window is not connected")
 
     by_node: dict[int, set[int]] = {}
-    for i, r in vertices:
+    for i, r in window:
         by_node.setdefault(i, set()).add(r)
+    names = q.vertices
     chains: list[list[Label]] = []
     for i in sorted(by_node):
         step = 2 * cartan.d(i)
@@ -132,7 +184,17 @@ def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
             run = []
             r = top
             while r in params:
-                run.append(hl_label((i, r)))
+                run.append(names[window[i, r]])
                 r -= step
             chains.append(run)
-    return decompose_with_chains(q, chains)
+    return chains
+
+
+def hl_decompose(q: Quiver, cartan: CartanData) -> ChainDecomposition:
+    """Chain decomposition of a connected window with (i,r) vertex labels.
+
+    Chains are the maximal vertical runs (i, a) <- (i, a - 2 d_i) <- ...;
+    everything else becomes oblique.  Raises InconsistentLabelsError when the
+    labels do not parse or the arrow set does not match the arrow rule.
+    """
+    return decompose_with_chains(q, rule_chains(q, cartan, *parse_window(q)))

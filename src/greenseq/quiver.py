@@ -12,7 +12,10 @@ The public values are immutable; every public operation returns a new value,
 which makes them safe to share across threads or executors.  So a quiver
 reads its arrows once, on first use, into int adjacency lists that the
 neighbour accessors, ``b``, ``is_connected`` and the biconnected blocks
-(``cycles.blocks``) share, and keeps the blocks too.
+(``cycles.blocks``) share.  It keeps the blocks, each with its oriented
+cycle (the block census), and whether it is connected and its largest
+multiplicity, so the family recognizers that run in turn on one quiver
+each read them once.
 
 Underneath, one private kernel (:func:`_mutate_rows`) mutates the extended
 exchange matrix [B | C] in sparse form: a list with one ``dict`` per mutable
@@ -191,6 +194,10 @@ class Quiver:
 
     def max_multiplicity(self) -> int:
         """The largest arrow multiplicity, 0 when there are no arrows."""
+        return self._max_multiplicity
+
+    @cached_property
+    def _max_multiplicity(self) -> int:
         return max((m for _, _, m in self._arrows), default=0)
 
     def index(self, v: Label) -> int:
@@ -224,14 +231,17 @@ class Quiver:
         return _Adjacency(outs, ins, [sorted(o + i) for o, i in zip(outs, ins)], weight)
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[Label, ...], ...]:
-        """Biconnected blocks of the underlying graph, sorted by (size, vertices).
+    def _blocks(self) -> dict[tuple[Label, ...], tuple[Label, ...] | None]:
+        """The block census: each biconnected block of the underlying graph,
+        mapped to its oriented cycle or None, sorted by (size, vertices).
 
         Each block is a sorted vertex tuple; an isolated vertex is in no block.
         One iterative depth-first search (Hopcroft–Tarjan) keeps each vertex's
         discovery time and low point.  When a child's subtree reaches no higher
         than its parent, the vertices stacked since the child and the parent
-        form a block.  Computed on first use, like the adjacency it reads.
+        form a block.  Each block of three or more vertices is then walked
+        once by :meth:`_cycle_on`.  Computed on first use, like the adjacency
+        it reads; callers must not change it.
         """
         adjacency = self._adjacency.nbrs
         disc = [-1] * len(adjacency)
@@ -254,19 +264,59 @@ class Quiver:
                         stack.append(w)
                         work.append((w, iter(adjacency[w])))
                         break
-                    low[v] = min(low[v], disc[w])
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
                 else:
                     work.pop()
                     if not work:
                         continue
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] >= disc[parent]:
                         block = [parent]
                         while block[-1] != v:
                             block.append(stack.pop())
-                        found.append(tuple(self.vertices[i] for i in sorted(block)))
-        return tuple(sorted(found, key=lambda b: (len(b), b)))
+                        found.append(sorted(block))
+        # vertices are sorted, so index order is label order
+        found.sort(key=lambda b: (len(b), b))
+        names = self.vertices
+        return {
+            tuple(names[i] for i in block): self._cycle_on(set(block))
+            for block in found
+        }
+
+    def _cycle_on(self, inside: set[int]) -> tuple[Label, ...] | None:
+        """The induced subquiver on the vertex indices ``inside`` as one
+        oriented cycle, listed in arrow direction from its smallest label;
+        None when there are fewer than three vertices, a chord, a reversed
+        arrow or more than one cycle.
+
+        Each vertex needs exactly one out-neighbour inside.  Then the
+        induced arrows are as many as the vertices, so they form one cycle
+        exactly when the walk from the smallest vertex first returns to it
+        after visiting them all.
+        """
+        if len(inside) < 3:
+            return None
+        outs = self._adjacency.outs
+        succ = {}
+        for v in inside:
+            nxt = [w for w in outs[v] if w in inside]
+            if len(nxt) != 1:
+                return None
+            succ[v] = nxt[0]
+        start = v = min(inside)
+        cycle = [start]
+        for _ in range(len(inside) - 1):
+            v = succ[v]
+            if v == start:
+                return None
+            cycle.append(v)
+        if succ[v] != start:
+            return None
+        names = self.vertices
+        return tuple(names[i] for i in cycle)
 
     def _labels(self, indices: list[int]) -> list[Label]:
         return [self.vertices[j] for j in indices]
@@ -286,6 +336,10 @@ class Quiver:
         return self._labels(self._adjacency.nbrs[self.index(v)])
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         n = len(self.vertices)
         if not n:
             return True

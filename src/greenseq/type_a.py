@@ -6,7 +6,8 @@ arrow-disjoint triangles, and a degree-three vertex has exactly one triangle
 plus one arrow lying on no triangle.  Every cycle is an oriented triangle
 exactly when every biconnected block (see ``cycles.blocks``) is a single
 arrow or an oriented triangle, so the recognizer reads the triangles off
-the blocks.  Structurally such quivers are oriented triangles glued at
+the quiver's block census and checks the degree conditions on its int
+adjacency lists.  Structurally such quivers are oriented triangles glued at
 shared vertices (each vertex in at most two triangles) with tree-like
 appendages.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cycles import blocks, oriented_cycle
 from .decomposition import ChainDecomposition, decompose_with_chains
 from .quiver import Label, Quiver, QuiverError, Verdict
 
@@ -53,8 +53,7 @@ def triangles(q: Quiver) -> list[Triangle]:
     if q.max_multiplicity() > 1:
         raise NotTypeAError("arrow multiplicity above 1")
     tris = []
-    for block in blocks(q):
-        cycle = oriented_cycle(q, block)
+    for block, cycle in q._blocks.items():
         if len(block) > 3 or (len(block) == 3 and cycle is None):
             raise NotTypeAError(
                 f"block {block} is neither an arrow nor an oriented triangle"
@@ -62,13 +61,12 @@ def triangles(q: Quiver) -> list[Triangle]:
         if cycle is not None:
             tris.append(cycle)
     tris.sort()
-    tri_arrows = {(t[i], t[(i + 1) % 3]) for t in tris for i in range(3)}
     tri_at: dict[Label, list[Triangle]] = {}
     for t in tris:
         for v in t:
             tri_at.setdefault(v, []).append(t)
-    for v in q.vertices:
-        nbrs = q.neighbors(v)
+    names = q.vertices
+    for v, nbrs in zip(names, q._adjacency.nbrs):
         if len(nbrs) > 4:
             raise NotTypeAError(f"vertex {v!r} has {len(nbrs)} neighbors")
         local = tri_at.get(v, [])
@@ -81,11 +79,9 @@ def triangles(q: Quiver) -> list[Triangle]:
         elif len(nbrs) == 3:
             if len(local) != 1:
                 raise NotTypeAError(f"degree-3 vertex {v!r} needs exactly one triangle")
-            spare = [
-                w
-                for w in nbrs
-                if (v, w) not in tri_arrows and (w, v) not in tri_arrows
-            ]
+            # an arrow at v lies on a triangle only if the triangle holds v,
+            # so the arrows on no triangle lead outside v's one triangle
+            spare = [w for w in nbrs if names[w] not in local[0]]
             if len(spare) != 1:
                 raise NotTypeAError(
                     f"degree-3 vertex {v!r}: third arrow lies on a triangle"
@@ -104,12 +100,11 @@ def is_type_a(q: Quiver) -> Verdict:
 
 def _connecting(q: Quiver, tris: list[Triangle]) -> frozenset[Label]:
     in_triangle = {v for t in tris for v in t}
-    out = set()
-    for v in q.vertices:
-        deg = len(q.neighbors(v))
-        if deg <= 1 or (deg == 2 and v in in_triangle):
-            out.add(v)
-    return frozenset(out)
+    return frozenset(
+        v
+        for v, nbrs in zip(q.vertices, q._adjacency.nbrs)
+        if len(nbrs) <= 1 or (len(nbrs) == 2 and v in in_triangle)
+    )
 
 
 def connecting_vertices(q: Quiver) -> frozenset[Label]:

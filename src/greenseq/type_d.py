@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import blocks, oriented_cycle
 from .decomposition import (
     ChainDecomposition,
     ValidationFailedError,
@@ -78,22 +77,30 @@ def _components(
 
     Each component is sorted, and they come in order of smallest vertex.
     """
-    seen = set(removed)
+    nbrs = q._adjacency.nbrs
+    seen = [False] * len(nbrs)
+    for v in removed:
+        seen[q.index(v)] = True
+    cut = set()
+    if skip is not None:
+        i, j = q.index(skip[0]), q.index(skip[1])
+        cut = {(i, j), (j, i)}
+    names = q.vertices
     comps = []
-    for v in q.vertices:
-        if v in seen:
+    for root in range(len(nbrs)):
+        if seen[root]:
             continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
+        comp = [root]
+        seen[root] = True
+        stack = [root]
         while stack:
             u = stack.pop()
-            for w in q.neighbors(u):
-                if w not in seen and skip not in ((u, w), (w, u)):
-                    seen.add(w)
+            for w in nbrs[u]:
+                if not seen[w] and (u, w) not in cut:
+                    seen[w] = True
                     comp.append(w)
                     stack.append(w)
-        comps.append(sorted(comp))
+        comps.append([names[i] for i in sorted(comp)])
     return comps
 
 
@@ -105,27 +112,32 @@ def _centres(q: Quiver) -> list[tuple[Label, ...]] | None:
     a block the candidates are the triangle blocks.  With one, B, they are
     B when it is one oriented cycle, the triangle of each ear (a vertex with
     two B-neighbours that close an oriented triangle with it), and B
-    without its ears when that is one oriented cycle.
+    without its ears when that is one oriented cycle.  Every block's cycle
+    is read off the block census.
     """
-    found = blocks(q)
-    cycles = {block: oriented_cycle(q, block) for block in found}
+    census = q._blocks
     nontrivial = [
-        b for b in found if len(b) > 3 or (len(b) == 3 and cycles[b] is None)
+        b for b, c in census.items() if len(b) > 3 or (len(b) == 3 and c is None)
     ]
     if len(nontrivial) > 1:
         return None
     if not nontrivial:
-        return sorted(c for c in cycles.values() if c is not None)
-    inside = set(nontrivial[0])
-    centres = {cycles[nontrivial[0]]}
+        return sorted(c for c in census.values() if c is not None)
+    (block,) = nontrivial
+    centres = {census[block]}
+    inside = {q.index(v) for v in block}
+    nbrs = q._adjacency.nbrs
     ears = set()
-    for v in inside:
-        nbrs = [w for w in q.neighbors(v) if w in inside]
-        ear = oriented_cycle(q, [v, *nbrs]) if len(nbrs) == 2 else None
-        if ear is not None:
-            centres.add(ear)
-            ears.add(v)
-    centres.add(oriented_cycle(q, inside - ears))
+    # a three-vertex block's only ear would be the block itself, already read
+    if len(inside) > 3:
+        for v in inside:
+            near = [w for w in nbrs[v] if w in inside]
+            ear = q._cycle_on({v, *near}) if len(near) == 2 else None
+            if ear is not None:
+                centres.add(ear)
+                ears.add(v)
+    if ears:
+        centres.add(q._cycle_on(inside - ears))
     centres.discard(None)
     return sorted(centres, key=lambda c: (len(c), c))
 
@@ -221,17 +233,18 @@ def _try_type_iii(
 
 
 def _try_type_ii(q: Quiver) -> TypeDClassification | None:
-    for c, d, _ in q.arrows():
-        apexes = sorted(
-            x for x in q.out_neighbors(d) if q.b(x, c) > 0 and x not in (c, d)
-        )
+    outs, _, nbrs, weight = q._adjacency
+    for ci, di, _ in q._arrows:
+        # the apexes x of the triangles c -> d -> x -> c, in label order
+        apexes = [x for x in outs[di] if (x, ci) in weight]
         if len(apexes) != 2:
             continue
-        a, b = apexes
-        if q.b(a, b) != 0:
+        ai, bi = apexes
+        if (ai, bi) in weight or (bi, ai) in weight:
             continue
-        if len(q.neighbors(a)) != 2 or len(q.neighbors(b)) != 2:
+        if len(nbrs[ai]) != 2 or len(nbrs[bi]) != 2:
             continue
+        a, b, c, d = (q.vertices[i] for i in (ai, bi, ci, di))
         comps = _components(q, {a, b}, (c, d))
         if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
             continue

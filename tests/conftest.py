@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -175,4 +177,19 @@ def reference_cycles(q: Quiver) -> list[tuple[tuple[str, ...], bool]]:
             continue
         start = cycle.index(min(cycle))
         out.append((tuple(cycle[start:] + cycle[:start]), True))
+    return out
+
+
+GOLDEN = Path(__file__).parent / "data" / "auto_decompose_golden.json"
+
+
+def golden_quivers() -> list[tuple[str, Quiver]]:
+    """The inputs of the ``auto_decompose`` golden set, as (kind, quiver)."""
+    from greenseq.quiver import make_quiver
+
+    out = []
+    for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        labels = record["labels"]
+        arrows = [(labels[a[0]], labels[a[1]], *a[2:]) for a in record["arrows"]]
+        out.append((record["kind"], make_quiver(labels, arrows)))
     return out

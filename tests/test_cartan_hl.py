@@ -58,6 +58,32 @@ class TestCartanData:
             cartan_data("D", 3)
 
 
+class TestCartanCache:
+    """``cartan_data`` builds each (type, rank) once and shares it, read-only."""
+
+    def test_repeat_builds_nothing_new(self):
+        assert cartan_data("B", 3) is cartan_data("b", 3)
+        assert cartan_data("B", 3) is not cartan_data("C", 3)
+
+    def test_shared_matrix_is_read_only(self):
+        data = cartan_data("B", 3)
+        with pytest.raises(ValueError):
+            data.cartan[2, 1] = 0
+        fresh = cartan_data("B", 3)
+        assert np.array_equal(fresh.cartan, [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+        assert np.array_equal(fresh.symmetrized, [[4, -2, 0], [-2, 4, -2], [0, -2, 2]])
+        assert [fresh.b(3, j) for j in (1, 2, 3)] == [0, -2, 2]
+        assert [fresh.d(i) for i in (1, 2, 3)] == [2, 2, 1]
+        # ``symmetrized`` is computed afresh, so a caller may change its copy
+        fresh.symmetrized[0, 0] = 7
+        assert fresh.b(1, 1) == 4
+
+    def test_unsupported_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UnsupportedTypeError, match="rank 9 not supported for type E"):
+                cartan_data("E", 9)
+
+
 class TestLabels:
     def test_round_trip(self):
         assert parse_hl_label(hl_label((2, -1))) == (2, -1)
@@ -224,3 +250,78 @@ class TestDecompose:
             seq = construct_mgs(dec)
             assert len(seq) == expected_mgs_length(dec)
             assert is_maximal_green_sequence(q, seq), (letter, rank, radius)
+
+
+# every supported type, by rank
+TYPES = [
+    ("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2),
+    ("A", 3), ("B", 3), ("C", 3),
+    ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4),
+    ("A", 6), ("D", 6), ("E", 6), ("E", 7), ("E", 8),
+]
+RULE = "arrow set does not match the arrow rule"
+
+
+def rule_arrows(cartan, vertices):
+    """The arrow rule by a double loop over the window, as (label, label, 1)."""
+    return sorted(
+        (hl_label((i, r)), hl_label((j, s)), 1)
+        for i, r in vertices
+        for j, s in vertices
+        if cartan.b(i, j) != 0 and s - cartan.d(j) == r - cartan.d(i) + cartan.b(i, j)
+    )
+
+
+def edited_windows(q):
+    """``q``, each single-arrow edit of it (drop, reverse, and an added
+    arrow between unjoined vertices) and one non-canonical label."""
+    arrows = q.arrows()
+    out = [q]
+    for k, (u, v, m) in enumerate(arrows):
+        rest = arrows[:k] + arrows[k + 1 :]
+        out.append(make_quiver(q.vertices, rest))
+        out.append(make_quiver(q.vertices, rest + [(v, u, m)]))
+    unjoined = [
+        (u, v) for u in q.vertices for v in q.vertices if u < v and q.b(u, v) == 0
+    ]
+    for u, v in unjoined[:: max(1, len(unjoined) // 6)]:
+        out.append(make_quiver(q.vertices, arrows + [(u, v, 1)]))
+    spaced = {q.vertices[0]: q.vertices[0].replace(",", ", ")}
+    name = lambda x: spaced.get(x, x)
+    out.append(make_quiver([name(v) for v in q.vertices], [(name(a), name(b), m) for a, b, m in arrows]))
+    return out
+
+
+class TestRuleCheck:
+    """``hl_decompose`` accepts exactly the windows whose labels are
+    canonical and whose arrows equal the full rule comparison, against
+    every type of the same rank, and rejects the rest with the same text."""
+
+    @pytest.mark.parametrize("letter, rank", TYPES, ids=[f"{x}{r}" for x, r in TYPES])
+    def test_acceptance_equals_full_comparison(self, letter, rank):
+        cartan = cartan_data(letter, rank)
+        peers = [cartan_data(x, r) for x, r in TYPES if r == rank]
+        accepted = 0
+        for radius in (1, 2, 3):
+            base = hl_quiver(cartan, hl_ball(cartan, (rank, 0), radius))
+            for q in edited_windows(base):
+                vertices = [parse_hl_label(v) for v in q.vertices]
+                canonical = [hl_label(v) for v in vertices] == list(q.vertices)
+                for other in peers:
+                    matches = canonical and rule_arrows(other, vertices) == q.arrows()
+                    if matches and q.is_connected():
+                        dec = hl_decompose(q, other)
+                        assert underlying_quiver(dec) == q
+                        accepted += 1
+                        continue
+                    with pytest.raises(InconsistentLabelsError) as err:
+                        hl_decompose(q, other)
+                    assert str(err.value) == (RULE if not matches else "window is not connected")
+        assert accepted >= 3  # at least the unedited windows
+
+    def test_window_messages_come_first(self):
+        cartan = cartan_data("A", 2)
+        with pytest.raises(InconsistentLabelsError, match=r"^node index 3 outside 1\.\.2$"):
+            hl_decompose(make_quiver(["(1,0)", "(3,0)", "(3, 1)"]), cartan)
+        with pytest.raises(EmptyWindowError, match="^empty vertex window$"):
+            hl_decompose(make_quiver([]), cartan)

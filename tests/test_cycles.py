@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_quiver, random_type_a_quiver, reference_cycles
+from conftest import golden_quivers, random_quiver, random_type_a_quiver, reference_cycles
 from greenseq.cycles import all_cycles_oriented_decompose, blocks, oriented_cycle
 from greenseq.decomposition import (
     check_step_shapes,
@@ -17,7 +17,7 @@ from greenseq.decomposition import (
     underlying_quiver,
 )
 from greenseq.fixtures import fig7_quiver, fig8_quiver, oriented_cycles_example
-from greenseq.quiver import Quiver, is_maximal_green_sequence, make_quiver
+from greenseq.quiver import Quiver, full_subquiver, is_maximal_green_sequence, make_quiver
 from greenseq.type_a import is_type_a, triangles
 
 
@@ -98,7 +98,8 @@ def random_cactus(rng: random.Random, n: int) -> Quiver:
         u, v = rng.sample(range(n), 2)
         # reverse the arrow between u and v, or add one where there is none
         b[u, v], b[v, u] = (b[v, u], b[u, v]) if b[u, v] else (1, -1)
-    return Quiver(tuple(f"v{i}" for i in range(n)), b)
+    labels = [f"v{i}" for i in range(n)]
+    return make_quiver(labels, [(labels[i], labels[j], b[i, j]) for i, j in zip(*np.nonzero(b > 0))])
 
 
 @st.composite
@@ -146,6 +147,119 @@ class TestBlocksAgainstCycleEnumeration:
         assert trivial == expected
         if is_type_a(q):
             assert triangles(q) == sorted(c for c, _ in reference)
+
+
+def label_cycle(q: Quiver, vertices) -> tuple[str, ...] | None:
+    """Reference for ``oriented_cycle``, on labels: every vertex needs one
+    in- and one out-neighbour inside, and the walk from the smallest label
+    must visit them all before it returns."""
+    inside = set(vertices)
+    if len(inside) < 3:
+        return None
+    succ = {}
+    for v in inside:
+        outs = [w for w in q.out_neighbors(v) if w in inside]
+        ins = [w for w in q.in_neighbors(v) if w in inside]
+        if len(outs) != 1 or len(ins) != 1:
+            return None
+        succ[v] = outs[0]
+    cycle = [min(inside)]
+    while len(cycle) < len(inside):
+        cycle.append(succ[cycle[-1]])
+        if cycle[-1] == cycle[0]:
+            return None
+    return tuple(cycle)
+
+
+def reference_census(q: Quiver) -> dict[tuple[str, ...], tuple[str, ...] | None]:
+    """Each biconnected block by networkx, mapped to its directed cycle
+    from the smallest label when its induced arrows form exactly one."""
+    import networkx as nx
+
+    graph = nx.Graph((u, v) for u, v, _ in q.arrows())
+    out = {}
+    for component in nx.biconnected_components(graph):
+        block = tuple(sorted(component))
+        induced = nx.DiGraph((u, v) for u, v, _ in q.arrows() if u in component and v in component)
+        cycles = list(nx.simple_cycles(induced))
+        one = (
+            len(block) >= 3
+            and induced.number_of_edges() == len(block)
+            and len(cycles) == 1
+            and len(cycles[0]) == len(block)
+        )
+        cycle = None
+        if one:
+            start = cycles[0].index(block[0])
+            cycle = tuple(cycles[0][start:] + cycles[0][:start])
+        out[block] = cycle
+    return out
+
+
+@st.composite
+def census_quivers(draw):
+    """Random quivers on up to 12 vertices, multiplicity up to 2, or cacti."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return random_cactus(rng, n)
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    labels = [f"v{i}" for i in range(n)]
+    arrows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                u, v = (labels[i], labels[j])[:: rng.choice((1, -1))]
+                arrows.append((u, v, rng.randint(1, 2)))
+    return make_quiver(labels, arrows)
+
+
+class TestCensus:
+    """The block census and the one oriented-cycle walk, against networkx
+    and a label-level reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=census_quivers())
+    def test_census_matches_networkx(self, q):
+        census = q._blocks
+        assert census == reference_census(q)
+        assert list(census) == blocks(q)
+
+    def test_census_matches_networkx_on_golden_inputs(self):
+        for kind, q in golden_quivers():
+            assert q._blocks == reference_census(q), kind
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=census_quivers(), data=st.data())
+    def test_walk_on_any_subset_matches_labels(self, q, data):
+        subset = data.draw(st.sets(st.sampled_from(q.vertices)))
+        assert oriented_cycle(q, subset) == label_cycle(q, subset)
+        for block in blocks(q):
+            assert oriented_cycle(q, block) == label_cycle(q, block)
+            # a block listed in another order reaches the walk, not the census
+            assert oriented_cycle(q, reversed(block)) == label_cycle(q, block)
+
+    def test_block_answers_are_read_off_the_census(self, monkeypatch):
+        q = fig7_quiver()
+        census = dict(q._blocks)
+        walked = []
+        real = Quiver._cycle_on
+        monkeypatch.setattr(
+            Quiver, "_cycle_on", lambda self, inside: walked.append(inside) or real(self, inside)
+        )
+        assert [oriented_cycle(q, b) for b in blocks(q)] == list(census.values())
+        assert not walked
+        oriented_cycle(q, q.vertices)
+        assert walked == [set(range(len(q.vertices)))]
+
+    def test_walk_on_golden_subsets_matches_labels(self):
+        rng = random.Random(5)
+        for kind, q in golden_quivers():
+            for _ in range(5):
+                subset = rng.sample(q.vertices, rng.randint(0, len(q.vertices)))
+                assert oriented_cycle(q, subset) == label_cycle(q, subset), kind
+                sub = full_subquiver(q, subset)
+                assert sub._blocks == reference_census(sub), kind
 
 
 class TestDecompose:

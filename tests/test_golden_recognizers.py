@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import golden_quivers
+from greenseq import cartan, hl
 from greenseq.families import auto_decompose
 from greenseq.quiver import Quiver, make_quiver
 
@@ -124,6 +127,66 @@ def test_auto_decompose_matches_golden(record):
     arrows = [(labels[a[0]], labels[a[1]], *a[2:]) for a in record["arrows"]]
     q = make_quiver(labels, arrows)
     assert _record(record["kind"], q) == record
+
+
+class TestReadOnce:
+    """Within one ``auto_decompose`` call every recognizer reads the same
+    facts of the quiver: each block is walked for its oriented cycle at
+    most once, each label is parsed once, and Cartan data is built once
+    per type and rank for the whole process."""
+
+    def test_each_block_walked_at_most_once(self, monkeypatch):
+        walked: Counter = Counter()
+        real = Quiver._cycle_on
+
+        def counting(self, inside):
+            walked[id(self), frozenset(inside)] += 1
+            return real(self, inside)
+
+        monkeypatch.setattr(Quiver, "_cycle_on", counting)
+        censused = 0
+        for kind, q in golden_quivers():
+            walked.clear()
+            auto_decompose(q)
+            # the type-D ears and the subquivers of type-A parts are walked
+            # on their own; only walks of a block of q itself count here
+            blocks = {frozenset(map(q.index, b)) for b in q._blocks}
+            on_blocks = [n for (owner, s), n in walked.items() if owner == id(q) and s in blocks]
+            assert all(n == 1 for n in on_blocks), kind
+            censused += bool(on_blocks)
+        assert censused > 200
+
+    def test_each_label_parsed_once(self, monkeypatch):
+        parsed: Counter = Counter()
+        real = hl.parse_hl_label
+
+        def counting(label):
+            parsed[label] += 1
+            return real(label)
+
+        monkeypatch.setattr(hl, "parse_hl_label", counting)
+        for kind, q in golden_quivers():
+            parsed.clear()
+            auto_decompose(q)
+            assert all(n == 1 for n in parsed.values()), kind
+            if kind == "hl":
+                assert set(parsed) == set(q.vertices)
+
+    def test_repeated_cartan_data_builds_nothing(self, monkeypatch):
+        built = []
+        real = cartan.CartanData
+
+        def counting(*args):
+            built.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(cartan, "CartanData", counting)
+        windows = [q for kind, q in golden_quivers() if kind == "hl"]
+        first = [auto_decompose(q) for q in windows]
+        built.clear()
+        again = [auto_decompose(q) for q in windows]
+        assert not built
+        assert [f[0] for f in first] == [a[0] for a in again] == ["hl"] * len(windows)
 
 
 def test_golden_set_covers_every_family_and_type_d_kind():

@@ -21,6 +21,7 @@ from greenseq.type_a import (
     PinnedNotConnectingError,
     connecting_vertices,
     is_type_a,
+    triangles,
     type_a_decompose,
 )
 
@@ -78,6 +79,78 @@ class TestRecognizer:
             mapping = dict(zip(labels, perm))
             q = make_quiver(perm, [(mapping[u], mapping[v]) for u, v, _ in base.arrows()])
             assert is_type_a(q)
+
+
+def star(centre, leaves):
+    return [(centre, leaf) for leaf in leaves]
+
+
+class TestRejectionMessages:
+    """The exact text of each type-A rejection, in the order the checks run.
+
+    Two clauses can never fire once the blocks are arrows and oriented
+    triangles: two triangle blocks share at most one vertex, so a
+    degree-4 vertex in two of them sees four others, and a degree-3 vertex
+    in one of them has exactly one arrow outside it.  Their messages are
+    not pinned.
+    """
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, message",
+        [
+            ([], [], "no vertices"),
+            # connectivity is checked before multiplicity
+            ([1, 2, 3], [(1, 2, 2)], "not connected"),
+            ([1, 2], [(1, 2, 2)], "arrow multiplicity above 1"),
+            (
+                [1, 2, 3],
+                [(1, 2), (3, 2), (3, 1)],
+                "block ('1', '2', '3') is neither an arrow nor an oriented triangle",
+            ),
+            # the 4-cycle block fails before its vertex 1 of degree 5
+            (
+                [1, 2, 3, 4, 5, 6, 7],
+                [(1, 2), (2, 3), (3, 4), (4, 1), *star(1, [5, 6, 7])],
+                "block ('1', '2', '3', '4') is neither an arrow nor an oriented triangle",
+            ),
+            (list("012345"), star("0", "12345"), "vertex '0' has 5 neighbors"),
+            (
+                list("01234"),
+                star("0", "1234"),
+                "degree-4 vertex '0' not covered by two disjoint triangles",
+            ),
+            (
+                list("01234"),
+                [("0", "1"), ("1", "2"), ("2", "0"), *star("0", "34")],
+                "degree-4 vertex '0' not covered by two disjoint triangles",
+            ),
+            (list("0123"), star("0", "123"), "degree-3 vertex '0' needs exactly one triangle"),
+            # vertices are checked in label order: a before b of degree 5
+            (
+                ["a", "b", "x1", "x2", "y1", "y2", "y3", "y4"],
+                [*star("a", ["x1", "x2", "b"]), *star("b", ["y1", "y2", "y3", "y4"])],
+                "degree-3 vertex 'a' needs exactly one triangle",
+            ),
+        ],
+        ids=[
+            "empty",
+            "disconnected-and-doubled",
+            "doubled",
+            "non-oriented-triangle",
+            "long-block-before-degree",
+            "degree-five",
+            "degree-four-no-triangle",
+            "degree-four-one-triangle",
+            "degree-three-no-triangle",
+            "first-vertex-in-label-order",
+        ],
+    )
+    def test_exact_message(self, vertices, arrows, message):
+        q = make_quiver(vertices, arrows)
+        with pytest.raises(NotTypeAError) as err:
+            triangles(q)
+        assert str(err.value) == message
+        assert is_type_a(q) == Verdict(False, message)
 
 
 class TestConnecting:
