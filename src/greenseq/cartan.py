@@ -11,19 +11,21 @@ Labelling conventions (paths run 1..n):
 * G_2: triple bond 1-2 with vertex 2 short; weights (3,1).
 
 The diagonal symmetrizer d is normalized to min d = 1, so that
-B = diag(d) @ C is symmetric and max d equals 1 for the simply laced types,
+B = diag(d) C is symmetric and max d equals 1 for the simply laced types,
 2 for B/C/F and 3 for G.
 
-``cartan_data`` builds each (type, rank) once and hands the same value to
-every caller afterwards, so its Cartan matrix is read-only.
+A Dynkin diagram is a tree, so each row of B has at most four nonzero
+entries.  ``CartanData`` keeps only those, so it costs O(rank) to build and
+hold.  ``cartan_data`` builds each (type, rank) once and hands the same
+value to every caller afterwards; ``cartan`` and ``symmetrized`` build a
+fresh tuple matrix on each read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import lru_cache
+from typing import Iterable
 
 
 class UnsupportedTypeError(ValueError):
@@ -37,28 +39,40 @@ _E_BRANCH = {6: 3, 7: 4, 8: 5}
 
 @dataclass(frozen=True, eq=False)
 class CartanData:
-    """Cartan matrix C, symmetrizer d (min 1), and B = diag(d) C (symmetric)."""
+    """Cartan matrix C, symmetrizer d (min 1), and B = diag(d) C (symmetric).
+
+    ``_rows[i - 1]`` maps each node j with b_ij != 0, in ascending order, to
+    b_ij; the diagonal b_ii = 2 d_i is among them.
+    """
 
     letter: str
     rank: int
-    cartan: np.ndarray
     symmetrizer: tuple[int, ...]
+    _rows: tuple[dict[int, int], ...]
 
     @property
-    def symmetrized(self) -> np.ndarray:
-        return np.diag(self.symmetrizer) @ self.cartan
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix C, row by row, built on each read."""
+        return tuple(
+            tuple(self.b(i, j) // self.d(i) for j in self.nodes) for i in self.nodes
+        )
+
+    @property
+    def symmetrized(self) -> tuple[tuple[int, ...], ...]:
+        """B = diag(d) C, row by row, built on each read."""
+        return tuple(tuple(self.b(i, j) for j in self.nodes) for i in self.nodes)
 
     @property
     def max_symmetrizer(self) -> int:
         return max(self.symmetrizer)
 
-    @cached_property
-    def _table(self) -> list[list[int]]:
-        return self.symmetrized.tolist()
-
     def b(self, i: int, j: int) -> int:
         """Entry of the symmetrized matrix, 1-based node indices."""
-        return self._table[i - 1][j - 1]
+        return self._rows[i - 1].get(j, 0)
+
+    def support(self, i: int) -> Iterable[int]:
+        """The nodes j with b_ij != 0, ascending; i itself is one of them."""
+        return self._rows[i - 1].keys()
 
     def d(self, i: int) -> int:
         return self.symmetrizer[i - 1]
@@ -72,13 +86,14 @@ def cartan_data(letter: str, rank: int) -> CartanData:
     """Cartan data for one finite Dynkin type; raises UnsupportedTypeError.
 
     Built once per (upper-cased letter, rank); later calls return the same
-    value, whose ``cartan`` array is read-only.
+    value.
     """
     return _cartan_data(letter.upper(), rank)
 
 
-# 32 entries hold every supported type of rank up to 8; the bound keeps a
-# long run over labels of many large ranks from holding every n x n matrix
+# 32 entries hold every supported type of rank up to 8; each entry is
+# O(rank), and the bound keeps a long run over labels of many large ranks
+# from holding them all
 @lru_cache(maxsize=32)
 def _cartan_data(letter: str, rank: int) -> CartanData:
     if letter not in _MIN_RANK:
@@ -113,13 +128,11 @@ def _cartan_data(letter: str, rank: int) -> CartanData:
         d = [3, 1]
         bonds = [(1, 2, -1, -3)]
 
-    c = 2 * np.eye(n, dtype=np.int64)
+    entries = [[(i, 2 * d[i - 1])] for i in range(1, n + 1)]
     for i, j, cij, cji in bonds:
-        c[i - 1, j - 1] = cij
-        c[j - 1, i - 1] = cji
-    c.setflags(write=False)
-    data = CartanData(letter, rank, c, tuple(d))
-    sym = data.symmetrized
-    if not np.array_equal(sym, sym.T):
-        raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
-    return data
+        bij, bji = d[i - 1] * cij, d[j - 1] * cji
+        if bij != bji:
+            raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
+        entries[i - 1].append((j, bij))
+        entries[j - 1].append((i, bji))
+    return CartanData(letter, rank, tuple(d), tuple(dict(sorted(e)) for e in entries))

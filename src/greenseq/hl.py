@@ -52,11 +52,7 @@ def _shifts(cartan: CartanData) -> list[list[tuple[int, int]]]:
     """The arrow rule by node: (i, r) -> (j, r + shift) for each (j, shift)
     in entry i - 1, one per j with b_ij != 0."""
     return [
-        [
-            (j, cartan.b(i, j) - cartan.d(i) + cartan.d(j))
-            for j in cartan.nodes
-            if cartan.b(i, j) != 0
-        ]
+        [(j, cartan.b(i, j) - cartan.d(i) + cartan.d(j)) for j in cartan.support(i)]
         for i in cartan.nodes
     ]
 
@@ -103,10 +99,8 @@ def hl_ball(cartan: CartanData, seed: HLVertex, radius: int) -> list[HLVertex]:
     for _ in range(radius):
         nxt = []
         for i, r in frontier:
-            for j in cartan.nodes:
+            for j in cartan.support(i):
                 bij = cartan.b(i, j)
-                if bij == 0:
-                    continue
                 forward = (j, r - cartan.d(i) + cartan.d(j) + bij)
                 backward = (j, r - cartan.d(i) + cartan.d(j) - cartan.b(j, i))
                 for cand in (forward, backward):

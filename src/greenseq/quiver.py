@@ -45,8 +45,6 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-import numpy as np
-
 Label = str
 
 
@@ -138,27 +136,34 @@ class Quiver:
     _arrows: tuple[Arrow, ...]
     _index: dict[Label, int]
 
-    def __init__(self, vertices: Sequence[Label], matrix: np.ndarray) -> None:
+    def __init__(self, vertices: Sequence[Label], matrix: Sequence[Sequence[int]]) -> None:
         """The checked constructor, from a skew-symmetric integer matrix.
 
-        Validates the matrix as input from outside, in O(n^2), and reads
-        the arrows off it once; the library itself builds quivers from
-        arrows (:func:`make_quiver`).
+        ``matrix`` is any n x n nested sequence of integers (read with
+        ``operator.index``, so ``bool``, ``float`` and ``str`` entries are
+        refused), each of absolute value at most 2**63 - 1, the multiplicity
+        bound of :func:`make_quiver`.  Validates it as input from outside,
+        in O(n^2), and reads the arrows off it once; the library itself
+        builds quivers from arrows (:func:`make_quiver`).
         """
-        vertices, matrix = tuple(vertices), np.asarray(matrix, dtype=np.int64)
+        vertices = tuple(vertices)
         n = len(vertices)
         if len(set(vertices)) != n:
             raise DuplicateVertexError("duplicate vertex labels")
         if list(vertices) != sorted(vertices):
             raise QuiverError("vertices must be sorted lexicographically")
-        if matrix.shape != (n, n):
+        try:
+            rows = [tuple(row) for row in matrix]
+        except TypeError:
+            rows = None
+        if rows is None or len(rows) != n or any(len(row) != n for row in rows):
             raise QuiverError("matrix shape does not match vertex count")
-        if np.any(np.diagonal(matrix) != 0):
+        rows = [[_matrix_entry(x) for x in row] for row in rows]
+        if any(row[i] for i, row in enumerate(rows)):
             raise LoopArrowError("nonzero diagonal entry")
-        if np.any(matrix != -matrix.T):
+        if any(a != -b for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
             raise QuiverError("matrix is not skew-symmetric")
-        rows, cols = np.nonzero(matrix > 0)
-        arrows = zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
+        arrows = [(i, j, b) for i, row in enumerate(rows) for j, b in enumerate(row) if b > 0]
         index = {v: i for i, v in enumerate(vertices)}
         vars(self).update(vertices=vertices, _arrows=tuple(arrows), _index=index)
 
@@ -184,13 +189,13 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self._arrows)} arrows)"
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The skew-symmetric int64 exchange matrix, built on first use, read-only."""
-        b = np.zeros((len(self.vertices),) * 2, dtype=np.int64)
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The skew-symmetric exchange matrix as a tuple of rows, built on first use."""
+        n = len(self.vertices)
+        b = [[0] * n for _ in range(n)]
         for i, j, m in self._arrows:
-            b[i, j], b[j, i] = m, -m
-        b.setflags(write=False)
-        return b
+            b[i][j], b[j][i] = m, -m
+        return tuple(map(tuple, b))
 
     def max_multiplicity(self) -> int:
         """The largest arrow multiplicity, 0 when there are no arrows."""
@@ -403,7 +408,21 @@ class IceQuiver:
         )
 
 
+# the largest multiplicity a quiver may carry; make_quiver says why
 _INT64_MAX = 2**63 - 1
+
+
+def _matrix_entry(x: object) -> int:
+    """An entry given to the checked constructor, as a Python int."""
+    try:
+        value = operator.index(x)
+    except TypeError:
+        value = None
+    if value is None or isinstance(x, bool):
+        raise QuiverError(f"matrix entry is not an integer: {x!r}")
+    if abs(value) > _INT64_MAX:
+        raise QuiverError(f"matrix entry exceeds the int64 range: {value}")
+    return value
 
 
 def make_quiver(
@@ -414,8 +433,9 @@ def make_quiver(
 
     Rejects loops, duplicate vertices, unknown endpoints, pairs of arrows
     in both directions (2-cycles) and a total multiplicity beyond int64:
-    the quiver keeps exact ints, but ``Quiver.matrix`` is int64, so a larger
-    multiplicity would wrap round there.
+    the quiver keeps exact ints, but the search oracle packs c-vectors as
+    int64 (``oracle._Search.key``), and its bound on them starts from
+    multiplicities within int64.
     """
     labels = [str(v) for v in vertices]
     if len(set(labels)) != len(labels):
@@ -524,8 +544,9 @@ def _assemble(mutable: Sequence[Label], frozen: Sequence[Label], rows: Rows) -> 
 
 
 # multiplicities can grow doubly exponentially under mutation; refusing
-# beyond this bound keeps the work of a step small and every entry of an
-# int64 ``Quiver.matrix`` exact
+# beyond this bound keeps the work of a step small, and keeps every entry
+# one more step can make within int64, as the search oracle's packed
+# c-vector keys (``oracle._Search.key``) need
 MAX_SAFE_ENTRY = 2**31
 _UNSAFE = "arrow multiplicities exceed the safe mutation range"
 

@@ -43,7 +43,7 @@ def random_ice_quiver(
     q = random_quiver(rng, n, density, max_mult)
     frozen = frozenset(rng.sample(q.vertices, n_frozen))
     idx = [q.vertices.index(f) for f in sorted(frozen)]
-    b = q.matrix.copy()
+    b = np.array(q.matrix)
     b[np.ix_(idx, idx)] = 0
     return IceQuiver(Quiver(q.vertices, b), frozen)
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from greenseq.cartan import UnsupportedTypeError, cartan_data
 from greenseq.decomposition import construct_mgs, expected_mgs_length, underlying_quiver
+from greenseq.families import auto_decompose
 from greenseq.fixtures import FIG4_WINDOW, b2_cartan, fig4_mgs, fig4_quiver
 from greenseq.hl import (
     EmptyWindowError,
@@ -46,7 +49,7 @@ class TestCartanData:
             data = cartan_data(letter, rank)
             assert data.max_symmetrizer == r
             assert min(data.symmetrizer) == 1
-            sym = data.symmetrized
+            sym = np.array(data.symmetrized)
             assert np.array_equal(sym, sym.T)
 
     def test_unsupported(self):
@@ -67,21 +70,190 @@ class TestCartanCache:
 
     def test_shared_matrix_is_read_only(self):
         data = cartan_data("B", 3)
-        with pytest.raises(ValueError):
-            data.cartan[2, 1] = 0
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            data.cartan[2][1] = 0
         fresh = cartan_data("B", 3)
         assert np.array_equal(fresh.cartan, [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
         assert np.array_equal(fresh.symmetrized, [[4, -2, 0], [-2, 4, -2], [0, -2, 2]])
         assert [fresh.b(3, j) for j in (1, 2, 3)] == [0, -2, 2]
         assert [fresh.d(i) for i in (1, 2, 3)] == [2, 2, 1]
-        # ``symmetrized`` is computed afresh, so a caller may change its copy
-        fresh.symmetrized[0, 0] = 7
+        # ``symmetrized`` is computed afresh, so a caller may change a copy
+        sym = np.array(fresh.symmetrized)
+        sym[0, 0] = 7
         assert fresh.b(1, 1) == 4
 
     def test_unsupported_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(UnsupportedTypeError, match="rank 9 not supported for type E"):
                 cartan_data("E", 9)
+
+
+def _matrix(text: str) -> list[list[int]]:
+    return [[int(x) for x in line.split()] for line in text.strip().splitlines()]
+
+
+# Cartan matrices of rank 8 (A-D) or of every rank (E, F, G), with their
+# symmetrizers.  Under the module's labelling conventions the rank-n matrix
+# of A, B, C or D is the trailing n x n block of the rank-8 one.
+DENSE = {
+    "A": (
+        (1, 1, 1, 1, 1, 1, 1, 1),
+        """
+         2 -1  0  0  0  0  0  0
+        -1  2 -1  0  0  0  0  0
+         0 -1  2 -1  0  0  0  0
+         0  0 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0  0
+         0  0  0  0 -1  2 -1  0
+         0  0  0  0  0 -1  2 -1
+         0  0  0  0  0  0 -1  2
+        """,
+    ),
+    "B": (
+        (2, 2, 2, 2, 2, 2, 2, 1),
+        """
+         2 -1  0  0  0  0  0  0
+        -1  2 -1  0  0  0  0  0
+         0 -1  2 -1  0  0  0  0
+         0  0 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0  0
+         0  0  0  0 -1  2 -1  0
+         0  0  0  0  0 -1  2 -1
+         0  0  0  0  0  0 -2  2
+        """,
+    ),
+    "C": (
+        (1, 1, 1, 1, 1, 1, 1, 2),
+        """
+         2 -1  0  0  0  0  0  0
+        -1  2 -1  0  0  0  0  0
+         0 -1  2 -1  0  0  0  0
+         0  0 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0  0
+         0  0  0  0 -1  2 -1  0
+         0  0  0  0  0 -1  2 -2
+         0  0  0  0  0  0 -1  2
+        """,
+    ),
+    "D": (
+        (1, 1, 1, 1, 1, 1, 1, 1),
+        """
+         2 -1  0  0  0  0  0  0
+        -1  2 -1  0  0  0  0  0
+         0 -1  2 -1  0  0  0  0
+         0  0 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0  0
+         0  0  0  0 -1  2 -1 -1
+         0  0  0  0  0 -1  2  0
+         0  0  0  0  0 -1  0  2
+        """,
+    ),
+    "E6": (
+        (1, 1, 1, 1, 1, 1),
+        """
+         2 -1  0  0  0  0
+        -1  2 -1  0  0  0
+         0 -1  2 -1  0 -1
+         0  0 -1  2 -1  0
+         0  0  0 -1  2  0
+         0  0 -1  0  0  2
+        """,
+    ),
+    "E7": (
+        (1, 1, 1, 1, 1, 1, 1),
+        """
+         2 -1  0  0  0  0  0
+        -1  2 -1  0  0  0  0
+         0 -1  2 -1  0  0  0
+         0  0 -1  2 -1  0 -1
+         0  0  0 -1  2 -1  0
+         0  0  0  0 -1  2  0
+         0  0  0 -1  0  0  2
+        """,
+    ),
+    "E8": (
+        (1, 1, 1, 1, 1, 1, 1, 1),
+        """
+         2 -1  0  0  0  0  0  0
+        -1  2 -1  0  0  0  0  0
+         0 -1  2 -1  0  0  0  0
+         0  0 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0 -1
+         0  0  0  0 -1  2 -1  0
+         0  0  0  0  0 -1  2  0
+         0  0  0  0 -1  0  0  2
+        """,
+    ),
+    "F4": (
+        (2, 2, 1, 1),
+        """
+         2 -1  0  0
+        -1  2 -1  0
+         0 -2  2 -1
+         0  0 -1  2
+        """,
+    ),
+    "G2": ((3, 1), " 2 -1\n-3  2"),
+}
+
+
+def _dense_cases():
+    for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        d, text = DENSE[letter]
+        full = _matrix(text)
+        for rank in range(low, 9):
+            yield letter, rank, d[8 - rank:], [row[8 - rank:] for row in full[8 - rank:]]
+    for name in ("E6", "E7", "E8", "F4", "G2"):
+        d, text = DENSE[name]
+        yield name[0], int(name[1]), d, _matrix(text)
+
+
+class TestDenseMatrices:
+    """The sparse rows agree with the Cartan matrices written out above."""
+
+    @pytest.mark.parametrize(
+        "letter, rank, d, cartan",
+        list(_dense_cases()),
+        ids=[f"{letter}{rank}" for letter, rank, _, _ in _dense_cases()],
+    )
+    def test_every_supported_type_up_to_rank_8(self, letter, rank, d, cartan):
+        data = cartan_data(letter, rank)
+        sym = [[d[i] * c for c in row] for i, row in enumerate(cartan)]
+        assert sym == [list(row) for row in zip(*sym)]
+        assert data.symmetrizer == d
+        assert data.cartan == tuple(map(tuple, cartan))
+        assert data.symmetrized == tuple(map(tuple, sym))
+        for i in data.nodes:
+            assert [data.b(i, j) for j in data.nodes] == sym[i - 1]
+            assert list(data.support(i)) == [j for j in data.nodes if sym[i - 1][j - 1]]
+
+    def test_cases_are_the_supported_types(self):
+        cases = {(letter, rank) for letter, rank, _, _ in _dense_cases()}
+        assert len(cases) == 32
+        for letter in "ABCDEFG":
+            for rank in range(1, 9):
+                if (letter, rank) not in cases:
+                    with pytest.raises(UnsupportedTypeError):
+                        cartan_data(letter, rank)
+
+
+class TestLargeRank:
+    """A label of large rank costs O(rank): the Cartan data is sparse."""
+
+    def test_one_vertex_of_rank_20000_is_hl(self):
+        q = make_quiver(["(20000,0)"])
+        start = time.perf_counter()
+        found = auto_decompose(q)
+        assert time.perf_counter() - start < 5.0
+        assert found is not None and found[0] == "hl"
+        assert found[1].chains == (("(20000,0)",),)
+
+    def test_large_rank_rows(self):
+        a, d = cartan_data("A", 20000), cartan_data("D", 20000)
+        assert a.b(20000, 19999) == -1 and a.b(1, 20000) == 0
+        assert list(a.support(20000)) == [19999, 20000]
+        assert list(d.support(19998)) == [19997, 19998, 19999, 20000]
+        assert d.b(19999, 20000) == 0
 
 
 class TestLabels:

@@ -674,6 +674,78 @@ def test_runs_without_networkx(tmp_path):
     assert json.loads(done.stdout)["family"] == "oriented_cycles"
 
 
+_NO_NUMPY_COMMANDS = [
+    ["generate", "--fixture", "fig8", "--quiver-out", "fig8.json"],
+    ["mgs", "fig8.json"],
+    [
+        "generate", "--family", "random-qn", "--seed", "3", "--chains", "3",
+        "--quiver-out", "q.json", "--decomposition-out", "d.json",
+    ],
+    ["mgs", "q.json", "--decomposition", "d.json", "--sequence-out", "s.json"],
+    ["verify", "q.json", "s.json"],
+    [
+        "generate", "--family", "hl", "--type", "B", "--rank", "3",
+        "--seed-vertex", "(3,0)", "--radius", "1", "--quiver-out", "hl.json",
+    ],
+    ["mgs", "hl.json"],
+    ["search", "fig8.json", "--mode", "count"],
+    ["search", "hl.json", "--mode", "min"],
+    ["export", "q.json", "--format", "dot", "--sequence", "s.json"],
+    ["export", "q.json", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("stub", [False, True], ids=["unimported", "unimportable"])
+def test_runs_without_numpy(capsys, tmp_path, monkeypatch, stub):
+    """The library and CLI neither import numpy nor need it: every command
+    exits and prints as it does in this process, where numpy is loaded."""
+    import greenseq
+
+    script = (
+        "import json, sys\n"
+        + ("sys.modules['numpy'] = None\n" if stub else "")
+        + "import greenseq, greenseq.cli\n"
+        "codes = [greenseq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': repr(sys.modules.get('numpy', '-'))}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(greenseq.__file__).parents[1]))
+    (tmp_path / "sub").mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(_NO_NUMPY_COMMANDS)],
+        env=env, cwd=tmp_path / "sub", capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    *printed, last = done.stdout.splitlines()
+    codes = [0] * len(_NO_NUMPY_COMMANDS)
+    assert json.loads(last) == {"codes": codes, "numpy": "None" if stub else "'-'"}
+
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    outputs = []
+    for argv in _NO_NUMPY_COMMANDS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        outputs.append(out)
+    assert "\n".join(printed) + "\n" == "".join(outputs)
+    for name in ("fig8.json", "q.json", "d.json", "s.json", "hl.json"):
+        assert (tmp_path / "sub" / name).read_text() == (tmp_path / "here" / name).read_text()
+
+
+def test_generate_hl_of_rank_100000(capsys):
+    """A window of a type of large rank costs O(rank), not O(rank^3).  Two
+    steps from node 1 reach node 3 at most, so the window is that of A3."""
+    reports = []
+    for rank in ("100000", "3"):
+        code, out, _ = run(
+            capsys, "generate", "--family", "hl", "--type", "A", "--rank", rank,
+            "--seed-vertex", "(1,0)", "--radius", "2",
+        )
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert len(reports[0]["quiver"]["vertices"]) == 12
+
+
 def _refuse_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("the dense matrix was built")

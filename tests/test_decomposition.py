@@ -824,11 +824,11 @@ class TestConstructMgs:
         state = quiver.final_state(quiver.frame(q), construct_mgs(dec)).quiver
         rows = [state.index(v) for v in q.vertices]
         frozen = [state.index(v + "'") for v in q.vertices]
-        b = state.matrix[np.ix_(rows, rows)]
-        p = -state.matrix[np.ix_(rows, frozen)]
+        b = np.array(state.matrix)[np.ix_(rows, rows)]
+        p = -np.array(state.matrix)[np.ix_(rows, frozen)]
         assert ((p == 0) | (p == 1)).all()
         assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
-        assert (b == p @ q.matrix @ p.T).all()
+        assert (b == p @ np.array(q.matrix) @ p.T).all()
 
     @settings(max_examples=60, deadline=None)
     @given(params=decomposition_params())

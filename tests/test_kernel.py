@@ -170,7 +170,7 @@ class TestMutate:
             by_graph = mutate_by_graph_rule(iq, k)
             iq = mutate(iq, k)
             assert iq == by_graph
-            m = iq.quiver.matrix
+            m = np.array(iq.quiver.matrix)
             assert (m == -m.T).all()
 
     @FEW
@@ -341,10 +341,10 @@ def test_c_rows_are_sign_coherent_and_determine_b(run):
     c-vectors as the rows of C.  Both are read off the public states.
     """
     q, steps = run
-    b0 = q.matrix.astype(object)
+    b0 = np.array(q.matrix, dtype=object)
     for end in range(len(steps) + 1):
         state = final_state(frame(q), steps[:end])
-        m = state.quiver.matrix.astype(object)
+        m = np.array(state.quiver.matrix, dtype=object)
         rows = [state.quiver.index(v) for v in q.vertices]
         frozen = [state.quiver.index(v + "'") for v in q.vertices]
         b, c = m[np.ix_(rows, rows)], m[np.ix_(rows, frozen)]

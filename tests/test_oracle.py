@@ -578,7 +578,7 @@ class TestAllRedLeaves:
             end = final_state(frame(q), steps).quiver
             rows = [end.index(v) for v in q.vertices]
             frozen = [end.index(v + "'") for v in q.vertices]
-            c = end.matrix[np.ix_(rows, frozen)]
+            c = np.array(end.matrix)[np.ix_(rows, frozen)]
             assert sorted((-c).tolist(), reverse=True) == np.eye(n, dtype=int).tolist()
             assert search.key(oracle_state(search, q, steps)) == all_red
         assert limit is None or len(sequences) == limit

@@ -104,6 +104,68 @@ class TestCheckedConstructor:
             Quiver(vertices, np.array(matrix))
         assert info.type is error
 
+    @pytest.mark.parametrize(
+        "entry, partner, message",
+        [
+            (1.5, -1.5, "not an integer: 1.5"),
+            (True, -1, "not an integer: True"),
+            ("1", "-1", "not an integer: '1'"),
+            (np.float64(1.0), -1, "not an integer"),
+            (np.True_, -1, "not an integer"),
+            (2**63, -(2**63), "exceeds the int64 range: 9223372036854775808"),
+            (-(2**63), 2**63, "exceeds the int64 range: -9223372036854775808"),
+        ],
+        ids=["float", "bool", "str", "float64", "numpy-bool", "above-int64", "below-int64"],
+    )
+    def test_entries_must_be_int64_integers(self, entry, partner, message):
+        """An entry that is not an integer, or beyond the multiplicity bound
+        of ``make_quiver``, is refused as a QuiverError, never read as an
+        arrow or raised as OverflowError."""
+        with pytest.raises(QuiverError, match=message) as info:
+            Quiver(("a", "b"), [[0, entry], [partner, 0]])
+        assert info.type is QuiverError
+
+    def test_int64_bound_accepted(self):
+        top = 2**63 - 1
+        q = Quiver(("a", "b"), [[0, -top], [top, 0]])
+        assert q.arrows() == [("b", "a", top)] == make_quiver("ab", [("b", "a", top)]).arrows()
+        assert q.matrix == ((0, -top), (top, 0))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0, 1], [-1, 0]],
+            ((0, 1), (-1, 0)),
+            np.array([[0, 1], [-1, 0]], dtype=np.int64),
+            np.array([[0, 1], [-1, 0]], dtype=np.int8),
+            [np.array([0, 1]), (-1, 0)],
+        ],
+        ids=["lists", "tuples", "int64-array", "int8-array", "mixed-rows"],
+    )
+    def test_any_nested_integer_sequence(self, matrix):
+        q = Quiver(("a", "b"), matrix)
+        assert q == make_quiver("ab", [("a", "b")])
+        assert q.matrix == ((0, 1), (-1, 0))
+        assert all(type(x) is int for row in q.matrix for x in row)
+        assert all(type(m) is int for _, _, m in q.arrows())
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0, 1], [-1]], [[0, 1]], [0, 0], 5, [[0, 1], [-1, 0], [0, 0]]],
+        ids=["ragged", "short", "flat", "scalar", "long"],
+    )
+    def test_shape(self, matrix):
+        with pytest.raises(QuiverError, match="matrix shape does not match") as info:
+            Quiver(("a", "b"), matrix)
+        assert info.type is QuiverError
+
+    def test_matrix_is_immutable(self):
+        q = Quiver(("a", "b", "c"), [[0, 2, 0], [-2, 0, -1], [0, 1, 0]])
+        assert q.matrix == ((0, 2, 0), (-2, 0, -1), (0, 1, 0))
+        with pytest.raises(TypeError):
+            q.matrix[0][1] = 5
+        assert q.b("a", "b") == 2
+
 
 class TestFraming:
     def test_frame_single_vertex(self):
@@ -227,7 +289,7 @@ class TestMutate:
         for _ in range(30):
             k = rng.choice(iq.mutable)
             iq = mutate(iq, k)
-            m = iq.quiver.matrix
+            m = np.array(iq.quiver.matrix)
             assert (m == -m.T).all()
             idx = [iq.quiver.index(f) for f in sorted(iq.frozen)]
             assert not m[idx][:, idx].any()
@@ -384,7 +446,7 @@ def quivers_three_ways(draw):
 def test_adjacency_reads_the_matrix(q):
     """The cached adjacency agrees with a direct reading of the matrix, and
     the stored blocks cannot be changed through a returned list."""
-    m, names = q.matrix.tolist(), q.vertices
+    m, names = np.array(q.matrix).tolist(), q.vertices
     n = len(names)
     for i, v in enumerate(names):
         assert q.out_neighbors(v) == [names[j] for j in range(n) if m[i][j] > 0]
