@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import green_runs, green_steps, random_acyclic_quiver, small_quivers
@@ -61,6 +61,12 @@ def type_d(n):
     labels = [f"v{i}" for i in range(n)]
     arrows = [(labels[i + 1], labels[i]) for i in range(n - 2)]
     return make_quiver(labels, arrows + [(labels[n - 1], labels[n - 3])])
+
+
+# a D5 tree whose green tree outgrows enumeration under any test budget
+D5_TREE = make_quiver(
+    [f"v{i}" for i in range(5)], [("v0", "v3"), ("v1", "v4"), ("v2", "v4"), ("v3", "v4")]
+)
 
 
 def oriented_cycle(n):
@@ -231,12 +237,17 @@ class TestCountAgainstEnumeration:
     that relabel one another as one, and enumeration once
     per edge of the green tree, so under one budget the DP answers whenever
     enumeration does.  When only the DP answers, a larger budget checks it.
+    Some trees are too large even for that (a D5 orientation has 435,864
+    maximal green sequences); there the DP is checked under every shorter
+    length bound that enumeration finishes, from 0 through the minimal
+    length at least.
     """
 
     CAP = 1000
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(q=small_quivers(), max_len=st.none() | st.integers(0, 8))
+    @example(q=D5_TREE, max_len=None)
     def test_dp_matches_enumeration(self, q, max_len):
         try:
             want = enumerated(q, max_len, self.CAP)
@@ -248,9 +259,29 @@ class TestCountAgainstEnumeration:
             with pytest.raises(BudgetExceededError):
                 count_mgs(q, max_len, self.CAP)
             return
-        count, best, sequences = want or enumerated(q, max_len, 20 * self.CAP)
+        try:
+            want = want or enumerated(q, max_len, 20 * self.CAP)
+        except BudgetExceededError:
+            pass
+        if want is not None:
+            self.assert_dp_agrees(q, max_len, want, self.CAP)
+            return
+        checked = -1
+        for bound in range(max_len if max_len is not None else sys.maxsize):
+            try:
+                want = enumerated(q, bound, 20 * self.CAP)
+            except BudgetExceededError:
+                break
+            self.assert_dp_agrees(q, bound, want, 20 * self.CAP)
+            assert want[0] <= report["count"]
+            checked = bound
+        assert report["min_length"] is None or checked >= report["min_length"]
+
+    def assert_dp_agrees(self, q, max_len, want, dp_cap):
+        count, best, sequences = want
+        report = oracle_report(q, max_len, dp_cap)
         assert report == {"min_length": best, "count": count, "budget_exhausted": False}
-        assert count_mgs(q, max_len, self.CAP) == count
+        assert count_mgs(q, max_len, dp_cap) == count
         listed = oracle_report(q, max_len, 20 * self.CAP, include_sequences=True)
         assert listed == dict(report, sequences=sequences)
 
