@@ -93,7 +93,10 @@ def hl_ball(cartan: CartanData, seed: HLVertex, radius: int) -> list[HLVertex]:
 
     Step candidates are generated from the arrow rule in both directions, so
     the result is always a connected full subquiver of one component.
+    A seed whose node index lies outside the rank raises as
+    :func:`hl_quiver` does, before any Cartan row is read.
     """
+    _check_window(cartan, [seed])
     seen = {seed}
     frontier = [seed]
     for _ in range(radius):

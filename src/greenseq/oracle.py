@@ -13,8 +13,7 @@ children, so each state is solved once.  Path enumeration, which costs one
 mutation per green sequence, is kept for listing the sequences themselves
 and as the independent cross-check of the counts in the tests.  Both walk
 on an explicit stack, so an infinite green path ends at the budget, never
-in ``RecursionError``.  The node budget counts mutations in every engine;
-a step back along a depth-first path is not counted.
+in ``RecursionError``.
 
 A state is the extended exchange matrix [B | C] in the sparse form of
 :mod:`greenseq.quiver`, one dict of nonzero entries per mutable vertex,
@@ -23,25 +22,35 @@ state.  The kernel writes in place, so a move copies the rows it writes
 and runs the kernel on the copy (:meth:`_Search.mutate`): a child shares
 the other rows with its parent.  The depth-first walks keep only the state
 at the end of their path and step back by mutating it again in place, since
-mutation is an involution; that writes only rows the step forward copied.
+mutation is an involution: enumeration writes only rows the step forward
+copied, and the dynamic programme works on one copy of the start rows.
 One pass over the C entries of a state gives its green and its red rows.
+
 The memo of the dynamic programme and the visited sets of the breadth-first
 search key a state by its c-vectors alone, sorted (:meth:`_Search.key`), so
 they solve each cluster once, not once per labelling of its seed; counts
-and minimal lengths do not depend on the labels.
+and minimal lengths do not depend on the labels.  Those two engines carry
+each open state's c-vectors as a list of int tuples and key a child before
+they make it: the kernel's rule on the C columns gives the child's
+c-vectors from the parent's and row k (:func:`_step_cvectors`), and the
+kernel runs only for a child whose key is new.  A child that is made shares
+the tuples of its unchanged c-vectors with its parent and with its key.
 
 Minimal lengths come from a breadth-first search run from both ends:
 forward from the framed quiver by green moves, and backward by red moves
 from the coframed quiver [B | -I], where every maximal green sequence ends
 up to relabelling (Brüstle-Dupont-Pérotin).  A red move read backwards is a
 green one, so a state both sides reach splits a maximal green sequence.
-Both sides make their children with :meth:`_Search.mutate`, so the node
-budget counts the mutations of both.
+
+The node budget counts the children every engine considers, made or only
+keyed (:meth:`_Search.spend`), on both sides of the breadth-first search;
+a step back along a depth-first path is not counted.  A child of a state
+flagged unsafe is refused with the same error whether or not it would be
+made.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,6 +87,47 @@ class _Budget:
 
 # the rows of [B | C] and whether an entry has reached the safe bound
 State = tuple[Rows, bool]
+# the c-vectors of a state in row order, and sorted as its key
+CVectors = list[tuple[int, ...]]
+Key = tuple[tuple[int, ...], ...]
+
+
+def _child(rows: Rows, k: int) -> State:
+    """The child at row ``k``, made by the kernel on a copy of the list of
+    rows, row k and k's neighbour rows; ``rows`` is left unchanged."""
+    child = rows.copy()
+    n = len(rows)
+    for i in (k, *rows[k]):
+        if i < n:
+            child[i] = rows[i].copy()
+    return child, _mutate_rows(child, k)[1]
+
+
+def _step_cvectors(cs: CVectors, row: dict[int, int], k: int) -> CVectors:
+    """The c-vectors after a mutation at a green or a red row ``k``, from
+    the c-vectors ``cs`` and row k of [B | C] before it, without running
+    the kernel.
+
+    This is the kernel's rule on the C columns: c_k turns to -c_k, and a
+    neighbour row i gains sign(b_ik) * max(b_ik * c_kj, 0) in column j.
+    At a green row c_k >= 0, so with b_ik = -b_ki only the rows with
+    b_ik > 0 change, by b_ik * c_k; at a red row c_k <= 0, and only the
+    rows with b_ik < 0 change, by |b_ik| * c_k.  Every other row keeps
+    the tuple of ``cs``.
+    """
+    n = len(cs)
+    ck = cs[k]
+    child = cs.copy()
+    child[k] = tuple([-c for c in ck])
+    if max(ck) > 0:
+        for i, b_ki in row.items():
+            if b_ki < 0 and i < n:
+                child[i] = tuple([x - b_ki * y for x, y in zip(cs[i], ck)])
+    else:
+        for i, b_ki in row.items():
+            if b_ki > 0 and i < n:
+                child[i] = tuple([x + b_ki * y for x, y in zip(cs[i], ck)])
+    return child
 
 
 class _Search:
@@ -101,22 +151,21 @@ class _Search:
         self.max_len = max_len
         self.budget = _Budget(node_cap)
 
-    def mutate(self, state: State, k: int) -> State:
-        """The child at row ``k``, made by the kernel on a copy of the list
-        of rows, row k and k's neighbour rows; ``state`` is left unchanged."""
+    def spend(self, unsafe: bool) -> None:
+        """Count one child of a state against the node budget, and refuse
+        it when the state is flagged unsafe."""
         self.budget.spend()
-        rows, unsafe = state
         if unsafe:
             # overflow must surface as an error, never as a wrong answer
             raise BudgetExceededError(
                 "arrow multiplicities exceed the safe search range"
             )
-        child = rows.copy()
-        n = len(rows)
-        for i in (k, *rows[k]):
-            if i < n:
-                child[i] = rows[i].copy()
-        return child, _mutate_rows(child, k)[1]
+
+    def mutate(self, state: State, k: int) -> State:
+        """The child at row ``k``, counted by :meth:`spend` and made by
+        :func:`_child`; ``state`` is left unchanged."""
+        self.spend(state[1])
+        return _child(state[0], k)
 
     def colors(self, state: State) -> tuple[list[int], list[int]]:
         """The green rows and the red rows, each in ascending order."""
@@ -131,18 +180,9 @@ class _Search:
                 red.append(k)
         return green, red
 
-    def key(self, state: State) -> bytes:
-        """The c-vectors (rows of C), sorted and packed as int64 bytes.
-
-        C fixes B = C B0 C^T along green runs (Nakanishi-Zelevinsky tropical
-        duality), and along red runs from the end, which are minus green
-        runs of the opposite quiver; C has distinct rows, so two states
-        share a key exactly when one relabels the other: C2 = P C1 and
-        B2 = P B1 P^T for a permutation matrix P.  Entries fit in int64: a
-        start state comes from a quiver, whose multiplicities do, and a
-        child is made only from a parent not flagged unsafe, whose entries
-        are below 2^31, so its own are below 2^31 + 2^62.
-        """
+    @staticmethod
+    def cvectors(state: State) -> CVectors:
+        """The c-vectors of a state: row i of C as a tuple, in row order."""
         rows = state[0]
         n = len(rows)
         cs = []
@@ -151,9 +191,20 @@ class _Search:
             for j, b in row.items():
                 if j >= n:
                     c[j - n] = b
-            cs.append(c)
-        cs.sort()
-        return array("q", [x for c in cs for x in c]).tobytes()
+            cs.append(tuple(c))
+        return cs
+
+    @classmethod
+    def key(cls, state: State) -> Key:
+        """The c-vectors (rows of C) of a state, sorted.
+
+        C fixes B = C B0 C^T along green runs (Nakanishi-Zelevinsky tropical
+        duality), and along red runs from the end, which are minus green
+        runs of the opposite quiver; C has distinct rows, so two states
+        share a key exactly when one relabels the other: C2 = P C1 and
+        B2 = P B1 P^T for a permutation matrix P.
+        """
+        return tuple(sorted(cls.cvectors(state)))
 
     def steps(self, path: list[int]) -> list[str]:
         return [self._labels[k] for k in path]
@@ -205,13 +256,16 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
 class _Frame:
     """One state of the DP walk and the answer folded in from its children.
 
-    A frame keeps the state's memo key (its packed sorted c-vectors and
-    the steps left), its overflow flag and the move that made it, but not
-    its rows, so a deep stack on an infinite green path costs about one
-    key of n^2 int64 entries per state.
+    A frame keeps the state's memo key (its sorted c-vectors and the steps
+    left), its c-vectors in row order, its overflow flag and the move that
+    made it, but not its rows.  The key and the c-vectors hold the same
+    tuples, and a c-vector the move did not change is the parent's tuple,
+    so a deep stack on an infinite green path costs about two lists of n
+    references and the changed tuples per state.
     """
 
-    key: tuple[bytes, int | None]
+    key: tuple[Key, int | None]
+    cs: CVectors
     unsafe: bool
     move: int | None
     pending: Iterator[int]
@@ -227,24 +281,31 @@ def _count_dp(search: _Search) -> tuple[int, int | None]:
     otherwise; any other state sums its children's counts and takes one more
     than their least length.  The memo key holds the steps left under
     ``max_len`` (None without a bound), because one state can be reached at
-    different depths; relabelled states share it, so without ``max_len``
-    each edge of the exchange graph costs one mutation.  Every child, memo
-    hit or not, is made by ``search.mutate``, so the budget and the overflow
-    guard act as in enumeration.  As in :func:`_walk`, only the top frame's
-    state is kept, and a finished frame is undone by mutating again at its
-    move.
+    different depths; relabelled states share it.  Every child, memo hit or
+    not, is counted by ``search.spend``, so the budget and the overflow
+    guard act as in enumeration, but the kernel runs only on a miss: a
+    child is keyed by :func:`_step_cvectors` from its parent's c-vectors,
+    so without ``max_len`` each state up to relabelling costs two kernel
+    runs, one to open it and one to leave it.  Only the top frame's state
+    is kept, in one copy of the start rows: a miss mutates it in place,
+    and a finished frame is undone by mutating again at its move, as in
+    :func:`_walk`.
     """
-    memo: dict[tuple[bytes, int | None], tuple[int, int | None]] = {}
+    memo: dict[tuple[Key, int | None], tuple[int, int | None]] = {}
 
-    def open_frame(state: State, key: tuple[bytes, int | None], move: int | None) -> _Frame:
+    def open_frame(
+        state: State, cs: CVectors, key: tuple[Key, int | None], move: int | None
+    ) -> _Frame:
         green, red = search.colors(state)
         if len(red) == len(state[0]):
-            return _Frame(key, state[1], move, iter(()), 1, 0)
+            return _Frame(key, cs, state[1], move, iter(()), 1, 0)
         moves = () if key[1] == 0 else green
-        return _Frame(key, state[1], move, iter(moves), 0, None)
+        return _Frame(key, cs, state[1], move, iter(moves), 0, None)
 
-    rows = search.start[0]
-    stack = [open_frame(search.start, (search.key(search.start), search.max_len), None)]
+    rows = [row.copy() for row in search.start[0]]
+    cs = search.cvectors(search.start)
+    key = (tuple(sorted(cs)), search.max_len)
+    stack = [open_frame((rows, search.start[1]), cs, key, None)]
     while True:
         top = stack[-1]
         k = next(top.pending, None)
@@ -255,13 +316,14 @@ def _count_dp(search: _Search) -> tuple[int, int | None]:
                 return value
             _mutate_rows(rows, top.move)  # back to the parent's state
         else:
-            child = search.mutate((rows, top.unsafe), k)
+            search.spend(top.unsafe)
+            cs = _step_cvectors(top.cs, rows[k], k)
             left = None if top.key[1] is None else top.key[1] - 1
-            key = (search.key(child), left)
+            key = (tuple(sorted(cs)), left)
             value = memo.get(key)
             if value is None:
-                rows = child[0]
-                stack.append(open_frame(child, key, k))
+                unsafe = _mutate_rows(rows, k)[1]
+                stack.append(open_frame((rows, unsafe), cs, key, k))
                 continue
         parent = stack[-1]
         count, best = value
@@ -303,7 +365,8 @@ def count_mgs(
     """Number of distinct maximal green sequences of length <= max_len.
 
     Computed by dynamic programming over green states, not by listing the
-    sequences; the node budget still counts mutations.
+    sequences; the node budget counts every green child, as a mutation
+    would.
     """
     return _count_dp(_Search(q, max_len, node_cap, mutable_cap))[0]
 
@@ -320,7 +383,7 @@ def min_mgs_length(
     The default engine is a breadth-first search from both the framed and
     the coframed end, which stops where the two sides first meet and visits
     each state once per side up to relabelling; the node budget counts the
-    mutations of both sides.  ``engine="dfs"`` runs a memoization-free
+    children of both sides.  ``engine="dfs"`` runs a memoization-free
     iterative-deepening search as an independent cross-check (it requires
     ``max_len`` to conclude None).
     """
@@ -340,7 +403,9 @@ def _min_bfs(search: _Search) -> int | None:
     side red rows from ``search.end``; each side maps the keys it has seen
     to their depths.  A step expands the smaller frontier by one whole
     level, and the search ends at the first child whose key the other side
-    holds.  That meet is a shortest one: a child made at depth d + 1 that
+    holds.  A frontier entry is a state with its c-vectors, and each child
+    is keyed by :func:`_step_cvectors` first: the kernel runs, on a
+    copy-on-write child, only for a child the side keeps.  That meet is a shortest one: a child made at depth d + 1 that
     meets the other side below its frontier would be a state that side has
     expanded, so it has made the parent, which this side has held at depth
     d since before, and that meet would have been found first.  A side
@@ -348,10 +413,13 @@ def _min_bfs(search: _Search) -> int | None:
     then means no MGS; under ``max_len`` the search answers None once the
     two depths add up to it.
     """
-    seen = ({search.key(search.start): 0}, {search.key(search.end): 0})
+    levels: list[list[tuple[State, CVectors]]] = [
+        [(state, search.cvectors(state))] for state in (search.start, search.end)
+    ]
+    seen = tuple({tuple(sorted(level[0][1])): 0} for level in levels)
     if seen[0].keys() & seen[1].keys():
         return 0
-    levels, depths = [[search.start], [search.end]], [0, 0]
+    depths = [0, 0]
     while levels[0] and levels[1]:
         if search.max_len is not None and sum(depths) >= search.max_len:
             return None
@@ -359,15 +427,17 @@ def _min_bfs(search: _Search) -> int | None:
         mine, other = seen[side], seen[1 - side]
         depth = depths[side] + 1
         level = []
-        for state in levels[side]:
+        for state, cs in levels[side]:
+            rows, unsafe = state
             for k in search.colors(state)[side]:  # green forward, red backward
-                child = search.mutate(state, k)
-                key = search.key(child)
+                search.spend(unsafe)
+                child_cs = _step_cvectors(cs, rows[k], k)
+                key = tuple(sorted(child_cs))
                 if key in other:
                     return depth + other[key]
                 if key not in mine:
                     mine[key] = depth
-                    level.append(child)
+                    level.append((_child(rows, k), child_cs))
         levels[side], depths[side] = level, depth
     return None
 
@@ -422,7 +492,7 @@ def oracle_report(
     The count and minimal length come from the same dynamic programme as
     :func:`count_mgs`; only ``include_sequences`` enumerates paths, listing
     the maximal sequences in depth-first order.  Either way the node budget
-    counts mutations.
+    counts the green children the engine considers.
     """
     try:
         search = _Search(q, max_len, node_cap, mutable_cap)

@@ -433,9 +433,10 @@ def make_quiver(
 
     Rejects loops, duplicate vertices, unknown endpoints, pairs of arrows
     in both directions (2-cycles) and a total multiplicity beyond int64:
-    the quiver keeps exact ints, but the search oracle packs c-vectors as
-    int64 (``oracle._Search.key``), and its bound on them starts from
-    multiplicities within int64.
+    the quiver keeps exact ints, but its exchange matrix is to fit a
+    fixed-width int64 array, and the checked :class:`Quiver` constructor,
+    which reads such arrays, takes the same bound, so both constructors
+    accept the same quivers.
     """
     labels = [str(v) for v in vertices]
     if len(set(labels)) != len(labels):
@@ -545,8 +546,9 @@ def _assemble(mutable: Sequence[Label], frozen: Sequence[Label], rows: Rows) -> 
 
 # multiplicities can grow doubly exponentially under mutation; refusing
 # beyond this bound keeps the work of a step small, and keeps every entry
-# one more step can make within int64, as the search oracle's packed
-# c-vector keys (``oracle._Search.key``) need
+# one more step can make below 2^31 + 2^62, within the int64 bound of the
+# quiver constructors, so every state the kernel makes is a quiver that
+# ``make_quiver`` accepts back
 MAX_SAFE_ENTRY = 2**31
 _UNSAFE = "arrow multiplicities exceed the safe mutation range"
 

@@ -86,20 +86,47 @@ def quiver_from_dict(data: dict[str, Any]) -> Union[Quiver, IceQuiver]:
     arrows = data.get("arrows", [])
     if not isinstance(arrows, list):
         raise QuiverError("quiver 'arrows' must be a list")
-    parsed = []
-    for i, a in enumerate(arrows):
-        if not isinstance(a, dict) or "from" not in a or "to" not in a:
-            raise QuiverError(f"arrow needs 'from' and 'to': {a!r}")
-        _known_keys(a, ("from", "to", "mult"), f"arrows[{i}].")
-        mult = a.get("mult", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise QuiverError(f"arrow 'mult' must be a positive integer: {a!r}")
-        parsed.append((*_json_labels([a["from"], a["to"]], "arrow"), mult))
+    parsed = _arrows_of(arrows)
     q = make_quiver(_json_labels(data["vertices"], "quiver 'vertices'"), parsed)
     frozen = frozenset(_json_labels(data.get("frozen", []), "quiver 'frozen'"))
     if frozen:
         return IceQuiver(q, frozen)
     return q
+
+
+_ARROW_KEYS = ("from", "to", "mult")
+
+
+def _arrows_of(arrows: list) -> list[tuple[str, str, int]]:
+    """The (from, to, mult) triples of a JSON arrow list.
+
+    A well-formed list is admitted by whole-list scans of the key sets,
+    the multiplicities and the label types; any other list takes the
+    per-arrow checks, which raise at its first offence.
+    """
+    if (
+        set(map(type, arrows)) <= {dict}
+        and set().union(*arrows) <= set(_ARROW_KEYS)
+        and all("from" in a and "to" in a for a in arrows)
+    ):
+        sources, targets = [a["from"] for a in arrows], [a["to"] for a in arrows]
+        mults = [a.get("mult", 1) for a in arrows]
+        if (
+            set(map(type, mults)) <= {int}
+            and min(mults, default=1) >= 1
+            and set(map(type, sources + targets)) <= {str, int, float}
+        ):
+            return list(zip(map(str, sources), map(str, targets), mults))
+    parsed = []
+    for i, a in enumerate(arrows):
+        if not isinstance(a, dict) or "from" not in a or "to" not in a:
+            raise QuiverError(f"arrow needs 'from' and 'to': {a!r}")
+        _known_keys(a, _ARROW_KEYS, f"arrows[{i}].")
+        mult = a.get("mult", 1)
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise QuiverError(f"arrow 'mult' must be a positive integer: {a!r}")
+        parsed.append((*_json_labels([a["from"], a["to"]], "arrow"), mult))
+    return parsed
 
 
 def sequence_to_dict(seq: MutationSequence, order: str = "execution") -> dict[str, Any]:

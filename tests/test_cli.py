@@ -72,6 +72,16 @@ class TestGenerate:
         assert code == 0
         assert json.loads(out)["quiver"]["vertices"]
 
+    @pytest.mark.parametrize("seed", ["(5,0)", "(0,0)"])
+    def test_hl_ball_seed_outside_the_rank(self, capsys, seed):
+        # the seed is checked before its Cartan row is read
+        code, out, err = run(
+            capsys, "generate", "--family", "hl", "--type", "A", "--rank", "2",
+            "--seed-vertex", seed,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"node index {seed[1]} outside 1..2\n"
+
     def test_random_qn_deterministic(self, capsys):
         args = ("generate", "--family", "random-qn", "--seed", "7", "--chains", "3")
         first = run(capsys, *args)

@@ -6,6 +6,7 @@ import copy
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import deque
 from math import comb
 
@@ -22,12 +23,14 @@ from greenseq.decomposition import (
 )
 from greenseq.families import linear_a
 from greenseq.fixtures import fig8_quiver
+from greenseq import oracle
 from greenseq.oracle import (
     BudgetExceededError,
     _count_dp,
     _min_bfs,
     _min_iddfs,
     _Search,
+    _step_cvectors,
     _walk,
     count_mgs,
     enumerate_green_sequences,
@@ -478,6 +481,35 @@ class TestWork:
         assert min_mgs_length(linear_a(7)[0], node_cap=1_000) == 7
         assert min_mgs_length(type_d(6), node_cap=400) == 6
 
+    @pytest.mark.parametrize(
+        "q, n, clusters", FINITE[:4], ids=["A3", "A4", "A5", "A6"]
+    )
+    def test_kernel_runs_only_on_memo_misses(self, q, n, clusters, monkeypatch):
+        # children are keyed from c-vectors; each of the N memo entries but
+        # the start is opened by one kernel run and left by another
+        runs = []
+        kernel = oracle._mutate_rows
+
+        def counted(rows, k):
+            runs.append(k)
+            return kernel(rows, k)
+
+        monkeypatch.setattr(oracle, "_mutate_rows", counted)
+        count_mgs(q)
+        assert len(runs) == 2 * (clusters - 1)
+
+    def test_a7_count_memory(self):
+        # the peak read 0.81 MB when every child was made by the kernel
+        q = linear_a(7)[0]
+        tracemalloc.start()
+        try:
+            count = count_mgs(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 216_569_887
+        assert peak < 0.81e6
+
 
 KEYS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -582,6 +614,36 @@ class TestStateKey:
         assert len(set(least)) <= 1
         if least and not reports[0]["budget_exhausted"]:
             assert least[0] == reports[0]["min_length"]
+
+
+class TestCVectorStep:
+    """:func:`_step_cvectors` keys a child from its parent's c-vectors and
+    row k, as the kernel would make it."""
+
+    @staticmethod
+    def assert_steps_match_the_kernel(search, state, moves):
+        cs = search.cvectors(state)
+        for k in moves:
+            stepped = _step_cvectors(cs, state[0][k], k)
+            child = search.mutate(state, k)
+            assert stepped == search.cvectors(child)
+            assert tuple(sorted(stepped)) == search.key(child)
+            # a c-vector the move leaves alone is the parent's tuple
+            assert [a is b for a, b in zip(stepped, cs)] == [a == b for a, b in zip(stepped, cs)]
+        assert search.cvectors(state) == cs  # the parent's list is not written
+
+    @KEYS
+    @given(run=green_runs(max_n=5), picks=st.lists(st.integers(0, 5), max_size=12))
+    def test_green_moves_forward_and_red_moves_backward(self, run, picks):
+        q, steps = run
+        search = _Search(q, None, 10**4, 8)
+        for end in range(len(steps) + 1):
+            state = oracle_state(search, q, steps[:end])
+            if not state[1]:
+                self.assert_steps_match_the_kernel(search, state, search.colors(state)[0])
+        for state in red_run(search, picks):
+            if not state[1]:
+                self.assert_steps_match_the_kernel(search, state, search.colors(state)[1])
 
 
 class TestAllRedLeaves:

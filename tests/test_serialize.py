@@ -90,6 +90,64 @@ def test_malformed_quiver_rejected(data):
         quiver_from_dict(data)
 
 
+GOOD_ARROW = {"from": "a", "to": "b"}
+
+
+@pytest.mark.parametrize(
+    "arrows, message",
+    [
+        (
+            [GOOD_ARROW, {"from": "b", "to": "c", "mlt": 2}],
+            "unknown key arrows[1].mlt; expected one of from, to, mult",
+        ),
+        ([{"to": "b", "x": 1, "from": "a"}], "unknown key arrows[0].x; expected one of from, to, mult"),
+        (
+            [GOOD_ARROW, {"from": "b", "to": "c", "mult": 0}],
+            "arrow 'mult' must be a positive integer: {'from': 'b', 'to': 'c', 'mult': 0}",
+        ),
+        (
+            [{"from": "a", "to": "b", "mult": True}],
+            "arrow 'mult' must be a positive integer: {'from': 'a', 'to': 'b', 'mult': True}",
+        ),
+        (
+            [{"from": "a", "to": "b", "mult": 2.0}],
+            "arrow 'mult' must be a positive integer: {'from': 'a', 'to': 'b', 'mult': 2.0}",
+        ),
+        ([GOOD_ARROW, {"from": True, "to": "c"}], "arrow has a label that is not a string or number: True"),
+        ([{"from": "a", "to": None}], "arrow has a label that is not a string or number: None"),
+        ([GOOD_ARROW, {"from": ["b"], "to": "c"}], "arrow has a label that is not a string or number: ['b']"),
+        ([GOOD_ARROW, {"from": "b"}], "arrow needs 'from' and 'to': {'from': 'b'}"),
+        ([GOOD_ARROW, ["b", "c"]], "arrow needs 'from' and 'to': ['b', 'c']"),
+        # the first arrow at fault is named, whatever its fault
+        (
+            [GOOD_ARROW, {"from": "b", "to": None}, {"from": "a", "to": "c", "m": 1}],
+            "arrow has a label that is not a string or number: None",
+        ),
+    ],
+    ids=[
+        "key", "key-first", "zero-mult", "bool-mult", "float-mult", "bool-label",
+        "null-label", "list-label", "missing-to", "not-an-object", "first-offence",
+    ],
+)
+def test_malformed_arrows_named(arrows, message):
+    with pytest.raises(QuiverError) as err:
+        quiver_from_dict({"vertices": ["a", "b", "c"], "arrows": arrows})
+    assert type(err.value) is QuiverError
+    assert str(err.value) == message
+
+
+def test_arrows_are_checked_before_vertices():
+    with pytest.raises(QuiverError, match="arrow needs 'from' and 'to'"):
+        quiver_from_dict({"vertices": "ab", "arrows": [{"from": "a"}]})
+
+
+def test_numeric_arrow_labels_canonicalized():
+    q = quiver_from_dict(
+        {"vertices": [1, 2.5, "c"], "arrows": [{"from": 1, "to": 2.5, "mult": 2}, {"from": "c", "to": 1}]}
+    )
+    assert q == make_quiver(["1", "2.5", "c"], [("1", "2.5", 2), ("c", "1")])
+
+
 def test_malformed_sequence_rejected():
     for data in ({"steps": "ab"}, {"steps": [["a"]]}, {"steps": [True]}, ["a"]):
         with pytest.raises(QuiverError):
