@@ -18,12 +18,12 @@ in ``RecursionError``.
 A state is the extended exchange matrix [B | C] in the sparse form of
 :mod:`greenseq.quiver`, one dict of nonzero entries per mutable vertex,
 together with the overflow flag the shared kernel returned when it made the
-state.  The kernel writes in place, so a move copies the rows it writes
-and runs the kernel on the copy (:meth:`_Search.mutate`): a child shares
-the other rows with its parent.  The depth-first walks keep only the state
-at the end of their path and step back by mutating it again in place, since
-mutation is an involution: enumeration writes only rows the step forward
-copied, and the dynamic programme works on one copy of the start rows.
+state.  The kernel writes in place, so a move that keeps its parent copies
+the rows it writes and runs the kernel on the copy (:meth:`_Search.mutate`):
+a child shares the other rows with its parent.  The enumeration and the
+dynamic programme keep only the state at the end of their path, in one copy
+of the start rows: they step forward by mutating it in place, and back by
+mutating it again, since mutation is an involution.
 One pass over the C entries of a state gives its green and its red rows.
 
 The memo of the dynamic programme and the visited sets of the breadth-first
@@ -219,7 +219,8 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
     previous child's subtree is exhausted, so mutations happen, and the
     budget is spent, in the order of the yields.
 
-    Only the state at the end of the path is kept.  A step back mutates it
+    Only the state at the end of the path is kept, in one copy of the start
+    rows.  A step forward mutates it in place, and a step back mutates it
     again at the path's last vertex, which restores the parent exactly,
     since mutation is an involution; so a deep path costs one overflow flag
     and one iterator per state, not one state.
@@ -232,7 +233,7 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
             green = []
         return len(red) == len(state[0]), iter(green)
 
-    rows = search.start[0]
+    rows = [row.copy() for row in search.start[0]]
     all_red, moves = visit(search.start)
     yield path, all_red
     stack = [(search.start[1], moves)]
@@ -244,12 +245,12 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
             if stack:  # the root frame has no step on the path
                 _mutate_rows(rows, path.pop())
             continue
-        child = search.mutate((rows, unsafe), k)
-        rows = child[0]
+        search.spend(unsafe)
+        unsafe = _mutate_rows(rows, k)[1]
         path.append(k)
-        all_red, moves = visit(child)
+        all_red, moves = visit((rows, unsafe))
         yield path, all_red
-        stack.append((child[1], moves))
+        stack.append((unsafe, moves))
 
 
 @dataclass(slots=True)

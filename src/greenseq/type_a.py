@@ -126,9 +126,9 @@ def _peel(
     """The chains of :func:`type_a_decompose`, given the triangles of ``q``.
 
     The triangle-adjacency graph of a type-A quiver is a forest; each
-    component is processed from a root triangle (the pinned one when
-    present) so that every later triangle still has two unplaced vertices.
-    The chains are not validated here.
+    component is walked breadth first from a root triangle (the pinned one
+    when present, else its first) so that every later triangle still has
+    two unplaced vertices.  The chains are not validated here.
     """
     pinned = {str(v) for v in pinned}
     connecting = _connecting(q, tris)
@@ -136,12 +136,20 @@ def _peel(
         if p not in connecting:
             raise PinnedNotConnectingError(f"pinned vertex {p!r} is not connecting")
 
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(tris))}
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if set(tris[i]) & set(tris[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    tri_at: dict[Label, list[int]] = {}
+    for i, t in enumerate(tris):
+        for v in t:
+            tri_at.setdefault(v, []).append(i)
+
+    def glued(root: int) -> list[int]:
+        """The triangles glued to ``root``, breadth first from it, the
+        neighbours of each in index order."""
+        order, seen = [root], {root}
+        for node in order:
+            for other in sorted({j for v in tris[node] for j in tri_at[v]} - seen):
+                seen.add(other)
+                order.append(other)
+        return order
 
     chains: list[list[Label]] = []
     placed: set[Label] = set()
@@ -155,27 +163,19 @@ def _peel(
         placed.update((x, y))
 
     seen: set[int] = set()
-    for comp_root in range(len(tris)):
-        if comp_root in seen:
+    for first in range(len(tris)):
+        if first in seen:
             continue
-        component = []
-        stack = [comp_root]
-        comp_seen = {comp_root}
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for other in adjacency[node]:
-                if other not in comp_seen:
-                    comp_seen.add(other)
-                    stack.append(other)
-        seen.update(comp_seen)
-
-        pinned_tris = [i for i in component if pinned.intersection(tris[i])]
+        order = glued(first)
+        seen.update(order)
+        pinned_tris = [i for i in order if pinned.intersection(tris[i])]
         if len(pinned_tris) > 1:
             raise PinningInfeasibleError(
                 "two pinned vertices inside one glued triangle block"
             )
-        root = pinned_tris[0] if pinned_tris else min(component)
+        if pinned_tris and pinned_tris[0] != first:
+            order = glued(pinned_tris[0])
+        root = order[0]
         root_pins = sorted(pinned.intersection(tris[root]))
         if len(root_pins) > 1:
             raise PinningInfeasibleError("two pinned vertices in one triangle")
@@ -185,19 +185,6 @@ def _peel(
         placed.add(solo)
         pair_chain(*rest)
 
-        order = [root]
-        frontier = [root]
-        visited = {root}
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in sorted(adjacency[node]):
-                    if other in visited or other not in comp_seen:
-                        continue
-                    visited.add(other)
-                    order.append(other)
-                    nxt.append(other)
-            frontier = nxt
         for idx in order[1:]:
             free = [v for v in tris[idx] if v not in placed]
             if len(free) != 2:

@@ -1,32 +1,38 @@
 """Recognizer and chain decomposer for quivers mutation-equivalent to type D.
 
-The classification distinguishes four structure types (rank at least 4):
+The classification distinguishes four structure types (rank at least 4).
+Each removes a cut from the quiver and pins one vertex in each part left:
 
-* Type I: a pendant pair a, b hanging off a common neighbor c; the rest is
-  mutation-equivalent to type A with c a connecting vertex.
+* Type I: a pendant pair a, b hanging off a common neighbor c.  The cut is
+  {a, b} and the pin is c.
 * Type II: two oriented triangles sharing one arrow c -> d, with apexes a
-  and b of degree two; deleting a, b and the shared arrow leaves two type-A
-  components with c and d connecting.
+  and b of degree two.  The cut is {a, b} and the shared arrow, and the
+  pins are c and d.
 * Type III: an oriented chordless 4-cycle c -> a -> d -> b -> c with a and b
-  of degree two; deleting a and b leaves two type-A components with c and d
-  connecting.
+  of degree two.  The cut is {a, b} and the pins are c and d.
 * Type IV: a chordless oriented central cycle, optionally one spike
   (an oriented triangle over a cycle arrow) per arrow, no other arrows at
-  central vertices; deleting the central cycle leaves type-A components,
-  each attached through exactly one spike apex, connecting in its component.
+  central vertices.  The cut is the central cycle and the pins are the
+  spike apexes.
 
-``classify`` searches candidates in the fixed order IV, III, II, I and the
-first match wins.  Every type has at most one biconnected block that is
-neither a single arrow nor an oriented triangle (the central cycle with
-its spikes, the 4-cycle, or the two triangles sharing an arrow), so a
-quiver with two such blocks is rejected at once, and the type-IV and
-type-III centres are read off that one block.  The decomposer follows the
-per-type recipe and validates the result.
+One rule then decides every type (:func:`_parts`): each component of the
+quiver without the cut holds exactly one pin, and is mutation-equivalent to
+type A with that pin connecting.  ``classify_type_d`` tries candidates in
+the fixed order IV, III, II, I and the first that keeps the rule wins.
+Every type has at most one biconnected block that is neither a single arrow
+nor an oriented triangle (the central cycle with its spikes, the 4-cycle,
+or the two triangles sharing an arrow), so a quiver with two such blocks is
+rejected at once, and the type-IV and type-III centres are read off that
+one block.  The decomposer peels the type-A parts the rule found, each with
+its pin a singleton chain, adds the cut's chains per type, and validates
+the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+import itertools
+from typing import Iterator
 
 from .decomposition import (
     ChainDecomposition,
@@ -37,8 +43,8 @@ from .decomposition import (
 from .quiver import Label, Quiver, full_subquiver
 from .type_a import NotTypeAError, Triangle, _connecting, _peel, triangles
 
-# the triangles of each type-A part, keyed by its vertex set
-Parts = dict[frozenset[Label], list[Triangle]]
+# each type-A part's subquiver and triangles, keyed by its pin
+Parts = dict[Label, tuple[Quiver, list[Triangle]]]
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,10 @@ class TypeDClassification:
     central: tuple[Label, ...] | None = None
     # spikes: (cycle arrow source, cycle arrow target, apex)
     spikes: tuple[tuple[Label, Label, Label], ...] = ()
-    # the triangles the classification found, so the decomposer peels
-    # them without recomputing; not part of the result's value
-    parts: Parts = field(default_factory=dict, compare=False, repr=False)
+    # the type-A parts the cut leaves, found when the rule was checked, so
+    # the decomposer peels them without recomputing; None on a
+    # classification made by hand, and not part of the result's value
+    parts: Parts | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -142,97 +149,73 @@ def _centres(q: Quiver) -> list[tuple[Label, ...]] | None:
     return sorted(centres, key=lambda c: (len(c), c))
 
 
-def _type_a_parts(q: Quiver, pins: list[tuple[list[Label], Label]]) -> Parts | None:
-    """The triangles of the full subquiver on each ``comp`` of ``pins``, or
-    None at the first that is not mutation-equivalent to type A with its
-    ``pin`` connecting."""
+def _cut(
+    cls: TypeDClassification,
+) -> tuple[set[Label], list[Label], tuple[Label, Label] | None]:
+    """What the type of ``cls`` removes to leave its type-A parts: the cut
+    vertices, the pins (one per part, connecting in it) and an arrow that
+    the cut skips."""
+    if cls.kind == "IV":
+        return set(cls.central or ()), [apex for *_, apex in cls.spikes], None
+    pins = [cls.c] if cls.kind == "I" else [cls.c, cls.d]
+    return {cls.a, cls.b}, pins, (cls.c, cls.d) if cls.kind == "II" else None
+
+
+def _parts(q: Quiver, cls: TypeDClassification) -> Parts | None:
+    """The type-A parts that the cut of ``cls`` leaves, keyed by their pins
+    in component order, or None unless every component of ``q`` without the
+    cut holds exactly one pin and is type A with that pin connecting."""
+    removed, pins, skip = _cut(cls)
+    comps = _components(q, removed, skip)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    owner = {comp_of.get(pin): pin for pin in pins}
+    if len(owner) != len(pins) or owner.keys() != set(range(len(comps))):
+        return None
     parts: Parts = {}
-    for comp, pin in pins:
+    for i, comp in enumerate(comps):
         sub = full_subquiver(q, comp)
         try:
             tris = triangles(sub)
         except NotTypeAError:
             return None
-        if pin not in _connecting(sub, tris):
+        if owner[i] not in _connecting(sub, tris):
             return None
-        parts[frozenset(comp)] = tris
+        parts[owner[i]] = (sub, tris)
     return parts
 
 
-def _try_type_iv(
+def _type_iv(
     q: Quiver, centres: list[tuple[Label, ...]]
-) -> TypeDClassification | None:
+) -> Iterator[TypeDClassification]:
     for cycle in centres:
         central = set(cycle)
-        spikes: list[tuple[Label, Label, Label]] = []
-        apexes: set[Label] = set()
         arrows = list(zip(cycle, cycle[1:] + cycle[:1]))
-        allowed: set[tuple[Label, Label]] = set(arrows)
-        ok = True
-        for a, b in arrows:
-            candidates = [
-                x
-                for x in q.out_neighbors(b)
-                if x not in central and q.b(x, a) > 0
-            ]
-            if len(candidates) > 1:
-                ok = False
-                break
-            if candidates:
-                apex = candidates[0]
-                spikes.append((a, b, apex))
-                apexes.add(apex)
-                allowed.update([(b, apex), (apex, a)])
-        if not ok:
+        # the apexes x of the triangles a -> b -> x -> a over each cycle arrow
+        over = [
+            [x for x in q.out_neighbors(b) if x not in central and q.b(x, a) > 0]
+            for a, b in arrows
+        ]
+        if any(len(xs) > 1 for xs in over):
             continue
-        for v in central:
-            for w in q.out_neighbors(v):
-                if (v, w) not in allowed:
-                    ok = False
-            for w in q.in_neighbors(v):
-                if (w, v) not in allowed:
-                    ok = False
-        if not ok:
-            continue
-        comps = _components(q, central)
-        comp_of_apex: dict[Label, list[Label]] = {}
-        used: set[int] = set()
-        for apex in apexes:
-            for idx, comp in enumerate(comps):
-                if apex in comp:
-                    if idx in used:
-                        ok = False
-                    used.add(idx)
-                    comp_of_apex[apex] = comp
-        if not ok or len(used) != len(comps):
-            continue
-        parts = _type_a_parts(q, [(comp, apex) for apex, comp in comp_of_apex.items()])
-        if parts is not None:
-            return TypeDClassification(
-                "IV", central=cycle, spikes=tuple(sorted(spikes)), parts=parts
-            )
-    return None
+        spikes = sorted((a, b, xs[0]) for (a, b), xs in zip(arrows, over) if xs)
+        allowed = set(arrows).union(*(((b, x), (x, a)) for a, b, x in spikes))
+        at_centre = [(v, w) for v in central for w in q.out_neighbors(v)]
+        at_centre += [(w, v) for v in central for w in q.in_neighbors(v)]
+        if allowed.issuperset(at_centre):
+            yield TypeDClassification("IV", central=cycle, spikes=tuple(spikes))
 
 
-def _try_type_iii(
+def _type_iii(
     q: Quiver, centres: list[tuple[Label, ...]]
-) -> TypeDClassification | None:
+) -> Iterator[TypeDClassification]:
     for vs in (c for c in centres if len(c) == 4):
         for r in range(4):
             c, a, d, b = (vs[(r + i) % 4] for i in range(4))
-            if len(q.neighbors(a)) != 2 or len(q.neighbors(b)) != 2:
-                continue
-            comps = _components(q, {a, b})
-            if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
-                continue
-            comp_c, comp_d = comps if c in comps[0] else comps[::-1]
-            parts = _type_a_parts(q, [(comp_c, c), (comp_d, d)])
-            if parts is not None:
-                return TypeDClassification("III", a=a, b=b, c=c, d=d, parts=parts)
-    return None
+            if len(q.neighbors(a)) == 2 and len(q.neighbors(b)) == 2:
+                yield TypeDClassification("III", a=a, b=b, c=c, d=d)
 
 
-def _try_type_ii(q: Quiver) -> TypeDClassification | None:
+def _type_ii(q: Quiver) -> Iterator[TypeDClassification]:
     outs, _, nbrs, weight = q._adjacency
     for ci, di, _ in q._arrows:
         # the apexes x of the triangles c -> d -> x -> c, in label order
@@ -242,44 +225,27 @@ def _try_type_ii(q: Quiver) -> TypeDClassification | None:
         ai, bi = apexes
         if (ai, bi) in weight or (bi, ai) in weight:
             continue
-        if len(nbrs[ai]) != 2 or len(nbrs[bi]) != 2:
-            continue
-        a, b, c, d = (q.vertices[i] for i in (ai, bi, ci, di))
-        comps = _components(q, {a, b}, (c, d))
-        if len(comps) != 2 or (c in comps[0]) == (d in comps[0]):
-            continue
-        comp_c, comp_d = comps if c in comps[0] else comps[::-1]
-        # c and d lie in different components, so neither holds the arrow c -> d
-        parts = _type_a_parts(q, [(comp_c, c), (comp_d, d)])
-        if parts is not None:
-            return TypeDClassification("II", a=a, b=b, c=c, d=d, parts=parts)
-    return None
+        if len(nbrs[ai]) == 2 and len(nbrs[bi]) == 2:
+            a, b, c, d = (q.vertices[i] for i in (ai, bi, ci, di))
+            yield TypeDClassification("II", a=a, b=b, c=c, d=d)
 
 
-def _try_type_i(q: Quiver) -> TypeDClassification | None:
+def _type_i(q: Quiver) -> Iterator[TypeDClassification]:
     pendants = [v for v in q.vertices if len(q.neighbors(v)) == 1]
-    for i in range(len(pendants)):
-        for j in range(i + 1, len(pendants)):
-            a, b = pendants[i], pendants[j]
-            (ca,) = q.neighbors(a)
-            (cb,) = q.neighbors(b)
-            if ca != cb:
-                continue
-            c = ca
-            comps = _components(q, {a, b})
-            if len(comps) != 1:
-                continue
-            parts = _type_a_parts(q, [(comps[0], c)])
-            if parts is not None:
-                return TypeDClassification("I", a=a, b=b, c=c, parts=parts)
-    return None
+    for i, a in enumerate(pendants):
+        (c,) = q.neighbors(a)
+        for b in pendants[i + 1 :]:
+            if q.neighbors(b) == [c]:
+                yield TypeDClassification("I", a=a, b=b, c=c)
 
 
 def classify_type_d(q: Quiver) -> TypeDClassification | None:
     """First matching structure type in the order IV, III, II, I, else None.
 
-    Quivers with fewer than four vertices are never classified (ranks below
-    four collapse into type A).
+    Each type lists the candidates that pass its structural checks, and the
+    first whose cut keeps the rule of :func:`_parts` wins, carrying the
+    parts it found.  Quivers with fewer than four vertices are never
+    classified (ranks below four collapse into type A).
     """
     if len(q.vertices) < 4 or not q.is_connected():
         return None
@@ -288,42 +254,36 @@ def classify_type_d(q: Quiver) -> TypeDClassification | None:
     centres = _centres(q)
     if centres is None:
         return None
-    return (
-        _try_type_iv(q, centres)
-        or _try_type_iii(q, centres)
-        or _try_type_ii(q)
-        or _try_type_i(q)
-    )
-
-
-def _type_a_chains(
-    q: Quiver, comp: list[Label], pinned: list[Label], parts: Parts
-) -> list[list[Label]]:
-    """Type-A chains of the full subquiver on ``comp``, each pinned vertex a singleton.
-
-    The triangles come from ``parts`` when the classification found them.
-    Not validated: only the decomposition of the whole quiver is.
-    """
-    sub = full_subquiver(q, comp)
-    tris = parts.get(frozenset(comp))
-    return _peel(sub, triangles(sub) if tris is None else tris, pinned)
+    for cls in itertools.chain(
+        _type_iv(q, centres), _type_iii(q, centres), _type_ii(q), _type_i(q)
+    ):
+        parts = _parts(q, cls)
+        if parts is not None:
+            return replace(cls, parts=parts)
+    return None
 
 
 def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
-    """Chain decomposition following the per-type recipe; validates the result."""
+    """Chain decomposition following the per-type recipe; validates the result.
+
+    Each type-A part is peeled with its pin a singleton chain.  The parts
+    are the ones the classification found, or :func:`_parts` of a
+    classification made by hand; when its cut breaks the rule, this raises
+    ValidationFailedError.
+    """
+    parts = _parts(q, cls) if cls.parts is None else cls.parts
+    if parts is None:
+        why = f"the type-{cls.kind} cut does not leave type-A parts, one pin each"
+        raise ValidationFailedError([Violation("type-d-parts", "type-d-cut", why)])
+    peeled = {pin: _peel(sub, tris, [pin]) for pin, (sub, tris) in parts.items()}
     if cls.kind == "I":
-        comp = [v for v in q.vertices if v not in (cls.a, cls.b)]
-        chains = _type_a_chains(q, comp, [cls.c], cls.parts) + [[cls.a], [cls.b]]
-        return decompose_with_chains(q, chains)
+        return decompose_with_chains(q, peeled[cls.c] + [[cls.a], [cls.b]])
 
     if cls.kind in ("II", "III"):
-        comps = _components(q, {cls.a, cls.b}, (cls.c, cls.d) if cls.kind == "II" else None)
-        comp_c = next(x for x in comps if cls.c in x)
-        comp_d = next(x for x in comps if cls.d in x)
         chains = [
             chain
-            for comp, pin in ((comp_c, cls.c), (comp_d, cls.d))
-            for chain in _type_a_chains(q, comp, [pin], cls.parts)
+            for pin in (cls.c, cls.d)
+            for chain in peeled[pin]
             if chain not in ([cls.c], [cls.d])
         ]
         if cls.kind == "II":
@@ -334,19 +294,11 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
             chains.append([cls.b])
         return decompose_with_chains(q, chains)
 
-    assert cls.kind == "IV" and cls.central is not None
-    central = list(cls.central)
+    central = list(cls.central or ())
     apex_over: dict[tuple[Label, Label], Label] = {
         (a, b): apex for a, b, apex in cls.spikes
     }
-    all_apexes = {apex for _, _, apex in cls.spikes}
-    outer_chains = [
-        chain
-        for comp in _components(q, set(central))
-        for chain in _type_a_chains(
-            q, comp, [x for x in comp if x in all_apexes], cls.parts
-        )
-    ]
+    outer_chains = [c for part in peeled.values() for c in part]
 
     failures: list[Violation] = []
     for solo in sorted(central):

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from greenseq import fixtures
+from greenseq import cli, fixtures
 from greenseq.cartan import cartan_data
 from greenseq.cli import build_parser, main
 from greenseq.decomposition import (
+    ValidationFailedError,
     construct_mgs,
     decomposition_from_dict,
     decomposition_to_dict,
@@ -23,8 +24,8 @@ from greenseq.decomposition import (
 )
 from greenseq.families import auto_decompose
 from greenseq.fixtures import FIG8_TWELVE_COMPOSITION, fig8_quiver
-from greenseq.hl import hl_quiver
-from greenseq.quiver import Quiver, make_quiver
+from greenseq.hl import hl_decompose, hl_quiver
+from greenseq.quiver import IceQuiver, MutationSequence, Quiver, make_quiver
 from greenseq.serialize import quiver_from_dict, quiver_to_dict, sequence_to_dict
 
 
@@ -506,6 +507,17 @@ class TestSearch:
         assert code == 0
         assert json.loads(out) == {"min_length": least, "budget_exhausted": False}
 
+    @pytest.mark.parametrize("name", sorted(HL_GAPPED))
+    def test_gapped_hl_subquivers_have_no_decomposition(self, capsys, tmp_path, name):
+        letter, rank, window, _ = self.HL_GAPPED[name]
+        cartan = cartan_data(letter, rank)
+        q = hl_quiver(cartan, window)
+        code, _, err = run(capsys, "mgs", write_quiver(tmp_path / "q.json", q))
+        assert code == 2 and "no chain decomposition found" in err
+        with pytest.raises(ValidationFailedError) as rejected:
+            hl_decompose(q, cartan)
+        assert "chain-graph-cycle" in [v.code for v in rejected.value.violations]
+
     def test_min_without_mgs_exits_3(self, capsys, tmp_path):
         markov = make_quiver(["1", "2", "3"], [("1", "2", 2), ("2", "3", 2), ("3", "1", 2)])
         qfile = write_quiver(tmp_path / "q.json", markov)
@@ -824,3 +836,117 @@ def test_verify_memory_is_linear(capsys, tmp_path):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["maximal_green"] is True
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+_HL = ["generate", "--family", "hl"]
+
+
+def _path_file(tmp_path) -> str:
+    return write_quiver(tmp_path / "q.json", make_quiver(["1", "2"], [("2", "1")]))
+
+
+def _ice_file(tmp_path) -> str:
+    ice = IceQuiver(make_quiver(["1", "2"], [("2", "1")]), {"2"})
+    return write_quiver(tmp_path / "ice.json", ice)
+
+
+def _unknown_step_file(tmp_path) -> str:
+    (tmp_path / "s.json").write_text(json.dumps({"steps": ["9"]}))
+    return str(tmp_path / "s.json")
+
+
+def _drop_last_step(monkeypatch) -> None:
+    built = cli.construct_mgs
+    monkeypatch.setattr(
+        cli, "construct_mgs", lambda dec: MutationSequence(built(dec).steps[:-1])
+    )
+
+
+class TestExitContract:
+    """Exits that only an unusual input or a broken construction reaches:
+    each returns its documented code and prints no traceback."""
+
+    # argv from tmp_path, a setup on monkeypatch or None, the exit code, and
+    # a text that the report or the summary holds
+    CASES = {
+        "unreadable-file": (lambda t: ["mgs", str(t / "missing.json")], None, 2, "cannot read"),
+        "frozen-vertices": (lambda t: ["mgs", _ice_file(t)], None, 2, "without frozen vertices"),
+        "node-cap-not-int": (
+            lambda t: ["search", _path_file(t)],
+            lambda mp: mp.setenv("GREENSEQ_NODE_CAP", "many"),
+            2,
+            "GREENSEQ_NODE_CAP is not an integer: 'many'",
+        ),
+        "random-qn-no-chains": (
+            lambda t: ["generate", "--family", "random-qn"], None, 2, "random-qn needs --chains",
+        ),
+        "random-qn-too-few-vertices": (
+            lambda t: ["generate", "--family", "random-qn", "--chains", "5", "--max-vertices", "2"],
+            None,
+            2,
+            "need max_vertices >= n_chains >= 1",
+        ),
+        "fixture-has-no-decomposition": (
+            lambda t: ["generate", "--fixture", "fig8", "--decomposition-out", str(t / "d.json")],
+            None,
+            2,
+            "fig8 does not produce a decomposition",
+        ),
+        "hl-no-rank": (
+            lambda t: [*_HL, "--type", "A"], None, 2, "hl needs --type and --rank",
+        ),
+        "fig4-wrong-type": (
+            lambda t: [*_HL, "--window", "fig4", "--type", "A"],
+            None,
+            2,
+            "--window fig4 is the type B rank 2 window",
+        ),
+        "unsupported-type": (
+            lambda t: [*_HL, "--type", "Z", "--rank", "2"],
+            None,
+            2,
+            "unknown type 'Z'",
+        ),
+        "no-seed-vertex": (
+            lambda t: [*_HL, "--type", "A", "--rank", "2"],
+            None,
+            2,
+            "hl needs --seed-vertex",
+        ),
+        "malformed-seed": (
+            lambda t: [*_HL, "--type", "A", "--rank", "2", "--seed-vertex", "(1;0)"],
+            None,
+            2,
+            "not an (i,r) label: '(1;0)'",
+        ),
+        "export-out": (
+            lambda t: ["export", _path_file(t), "--format", "dot", "--out", str(t / "q.dot")],
+            None,
+            0,
+            "wrote",
+        ),
+        "export-unknown-step": (
+            lambda t: ["export", _path_file(t), "--format", "dot", "--sequence", _unknown_step_file(t)],
+            None,
+            2,
+            "cannot apply sequence: unknown vertex '9'",
+        ),
+        "self-verification-fails": (
+            lambda t: ["mgs", _path_file(t)], _drop_last_step, 1, "self-verification FAILED",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit(self, capsys, tmp_path, monkeypatch, case):
+        argv, setup, want, text = self.CASES[case]
+        if setup is not None:
+            setup(monkeypatch)
+        code, out, err = run(capsys, *argv(tmp_path))
+        assert code == want
+        assert text in out + err
+        assert "Traceback" not in out + err
+        if case == "export-out":
+            assert (tmp_path / "q.dot").read_text().startswith("digraph")
+        if case == "self-verification-fails":
+            report = json.loads(out)
+            assert report["verified"] is False and report["reason"]

@@ -208,6 +208,30 @@ class TestBuildAndValidate:
                 decompose_with_chains(q, chains)
             assert presented.value.violations == tuple(report)
 
+    # chains that do not present the quiver they are given with
+    PATH3 = make_quiver(["1", "2", "3"], [("2", "1"), ("3", "2")])
+    PRESENTATION_FAULTS = {
+        "vertex-map": (PATH3, [["1", "2"]]),
+        "multiplicity": (make_quiver(["1", "2"], [("2", "1", 2)]), [["1"], ["2"]]),
+        "missing-vertical": (PATH3, [["2", "1"], ["3"]]),
+    }
+
+    @pytest.mark.parametrize("code", sorted(PRESENTATION_FAULTS))
+    def test_presentation_faults(self, code):
+        q, chains = self.PRESENTATION_FAULTS[code]
+        with pytest.raises(ValidationFailedError) as err:
+            decompose_with_chains(q, chains)
+        assert type(err.value) is ValidationFailedError
+        assert [v.code for v in err.value.violations] == [code]
+
+    def test_empty_decomposition(self):
+        with pytest.raises(DisconnectedError) as err:
+            build_decomposition([], [])
+        assert type(err.value) is DisconnectedError and str(err.value) == "no vertices"
+        assert [v.to_dict() for v in validate_chains([], [])] == [
+            {"code": "disconnected", "clause": "connected", "message": "no vertices"}
+        ]
+
     def test_chain_vertex_and_label_ends_mix(self):
         chains = [["a", "b"], ["c"]]
         for ends in (

@@ -194,6 +194,16 @@ class TestDecompose:
         with pytest.raises(PinningInfeasibleError):
             type_a_decompose(triangle(), pinned=["1", "2"])
 
+    def test_two_pins_in_one_glued_block_infeasible(self):
+        from greenseq.type_a import PinningInfeasibleError
+
+        # triangles 1, 2, 3 and 3, 4, 5 glued at 3; 1 and 5 are connecting
+        q = make_quiver([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(PinningInfeasibleError, match="one glued triangle block"):
+            type_a_decompose(q, pinned=["1", "5"])
+        dec = type_a_decompose(q, pinned=["5"])
+        assert dec.chains[0] == ("5",) and is_maximal_green_sequence(q, construct_mgs(dec))
+
     def test_linear_shapes(self):
         assert linear_a(1)[0].arrows() == []
         assert linear_a(2)[0].arrows() == [("2", "1", 1)]

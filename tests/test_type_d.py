@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from greenseq import families, type_a, type_d
-from greenseq.decomposition import construct_mgs, underlying_quiver, validate_chains
+from greenseq.decomposition import (
+    ValidationFailedError,
+    construct_mgs,
+    underlying_quiver,
+    validate_chains,
+)
 from greenseq.families import auto_decompose, linear_a
 from greenseq.fixtures import fig7_quiver, fig8_quiver, fig10_quiver, oriented_cycles_example
-from greenseq.quiver import is_maximal_green_sequence, make_quiver
-from greenseq.type_d import classify_type_d, type_d_decompose
+from greenseq.quiver import QuiverError, is_maximal_green_sequence, make_quiver
+from greenseq.type_d import TypeDClassification, classify_type_d, type_d_decompose
 
 
 class TestClassification:
@@ -67,6 +75,18 @@ class TestClassification:
         )
         assert classify_type_d(q) is None
         assert auto_decompose(q) is None
+
+    def test_two_apexes_over_one_arrow_is_not_type_iv(self):
+        # x and y both close a triangle over w1 -> w2 of the square, which
+        # is therefore no type-IV centre; the quiver is outside the D6
+        # mutation class (a search of the class's 80 quivers), and the two
+        # triangles over w1 -> w2 fail type II, since w1 and w2 stay joined
+        q = make_quiver(
+            ["w1", "w2", "w3", "w4", "x", "y"],
+            [("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w4", "w1"),
+             ("w2", "x"), ("x", "w1"), ("w2", "y"), ("y", "w1")],
+        )
+        assert classify_type_d(q) is None
 
     def test_two_blocks_beyond_triangles_are_rejected(self):
         # two oriented squares sharing a vertex: neither is a centre with
@@ -201,3 +221,87 @@ class TestTrianglesOnce:
         q = fig10_quiver("d")
         by_hand, carried = type_d_decompose(q, bare), type_d_decompose(q, cls)
         assert (by_hand.chains, by_hand.obliques) == (carried.chains, carried.obliques)
+
+    @pytest.mark.parametrize("kind", "abcd")
+    def test_hand_made_classification_finds_the_same_parts(self, kind):
+        q = fig10_quiver(kind)
+        cls = classify_type_d(q)
+        bare = replace(cls, parts=None)
+        assert type_d._parts(q, bare).keys() == cls.parts.keys()
+        by_hand, carried = type_d_decompose(q, bare), type_d_decompose(q, cls)
+        assert (by_hand.chains, by_hand.obliques) == (carried.chains, carried.obliques)
+
+
+class TestCutAndPinRule:
+    """Every component of the quiver without a type's cut holds exactly one
+    pin, and is type A with that pin connecting.  Each quiver here passes
+    the structural checks of its type's candidate and breaks that rule; a
+    search of the A_n and D_n mutation classes (n = 5, 6) finds none of
+    them, so no type applies."""
+
+    CASES = {
+        # two triangles over c -> d, whose ends are joined again by c -> x -> d
+        "two-pins": (
+            make_quiver(
+                list("abcdx"),
+                [("c", "d"), ("d", "a"), ("a", "c"), ("d", "b"), ("b", "c"),
+                 ("c", "x"), ("x", "d")],
+            ),
+            TypeDClassification("II", a="a", b="b", c="c", d="d"),
+            type_d._type_ii,
+        ),
+        # a pendant pair at c, and c leads into an acyclic triangle
+        "part-not-type-a": (
+            make_quiver(
+                list("abcxyz"),
+                [("a", "c"), ("b", "c"), ("c", "x"), ("x", "y"), ("y", "z"), ("x", "z")],
+            ),
+            TypeDClassification("I", a="a", b="b", c="c"),
+            type_d._type_i,
+        ),
+        # four pendants at c: every pair leaves c inside a path of three
+        "pin-not-connecting": (
+            make_quiver(list("abcxy"), [("a", "c"), ("b", "c"), ("x", "c"), ("c", "y")]),
+            TypeDClassification("I", a="a", b="b", c="c"),
+            type_d._type_i,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_candidate_that_breaks_the_rule(self, case):
+        q, cls, candidates = self.CASES[case]
+        assert cls in list(candidates(q))
+        assert type_d._parts(q, cls) is None
+        assert classify_type_d(q) is None
+        # made by hand, the classification is refused with a typed error
+        with pytest.raises(QuiverError) as err:
+            type_d_decompose(q, cls)
+        assert type(err.value) is ValidationFailedError
+        assert [v.code for v in err.value.violations] == ["type-d-parts"]
+
+    # a connected quiver's candidate always has a pin in each component,
+    # since every component reaches the cut through one, and two pins in
+    # one component also break its type-A check; made by hand, each fault
+    # breaks only the pin count
+    HAND_MADE = {
+        # fig10 (d) without its spike leaves the apex's component unpinned
+        "no-pin": (
+            fig10_quiver("d"),
+            TypeDClassification("IV", central=("4", "8", "7", "6", "5")),
+        ),
+        # c -> d joins the pins of this type-III cut into one A2 component
+        "two-pins": (
+            make_quiver(
+                list("abcd"), [("c", "a"), ("a", "d"), ("d", "b"), ("b", "c"), ("c", "d")]
+            ),
+            TypeDClassification("III", a="a", b="b", c="c", d="d"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made_cut_that_breaks_the_rule(self, case):
+        q, cls = self.HAND_MADE[case]
+        assert type_d._parts(q, cls) is None
+        with pytest.raises(ValidationFailedError) as err:
+            type_d_decompose(q, cls)
+        assert [v.code for v in err.value.violations] == ["type-d-parts"]
