@@ -62,10 +62,6 @@ class CartanData:
         """B = diag(d) C, row by row, built on each read."""
         return tuple(tuple(self.b(i, j) for j in self.nodes) for i in self.nodes)
 
-    @property
-    def max_symmetrizer(self) -> int:
-        return max(self.symmetrizer)
-
     def b(self, i: int, j: int) -> int:
         """Entry of the symmetrized matrix, 1-based node indices."""
         return self._rows[i - 1].get(j, 0)

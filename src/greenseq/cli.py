@@ -140,16 +140,16 @@ def _cmd_generate(args) -> int:
     else:
         raise CliError("pass --family or --fixture")
 
+    # refuse every requested output before writing any of them
+    if dec is None and args.decomposition_out:
+        raise CliError(f"{tag} does not produce a decomposition")
     report = {
         "family": tag,
         "quiver": quiver_to_dict(q),
         "decomposition": decomposition_to_dict(dec) if dec is not None else None,
     }
     _write_json(args.quiver_out, report["quiver"])
-    if dec is not None:
-        _write_json(args.decomposition_out, report["decomposition"])
-    elif args.decomposition_out:
-        raise CliError(f"{tag} does not produce a decomposition")
+    _write_json(args.decomposition_out, report["decomposition"])
     _emit(report, f"generated {tag}: {len(q.vertices)} vertices")
     return EXIT_OK
 

@@ -1,12 +1,13 @@
-"""Biconnected blocks and decomposition of oriented-cycle-glued quivers.
+"""Decomposition of oriented-cycle-glued quivers, read off their blocks.
 
 A block is a maximal biconnected piece of the underlying undirected graph:
 either a single arrow (a bridge) or three or more vertices any two of which
 lie on a common simple cycle.  Every simple cycle lies inside one block, and
 a block is an induced subgraph, so the family recognizers read their
 conditions off the blocks in linear time instead of listing cycles.  The
-block census, each block with its oriented cycle or None, is computed once
-per quiver by one pass over its int adjacency and stored on it, so the
+blocks come from ``Quiver._blocks``, the block census: each block, a
+sorted vertex tuple, mapped to its oriented cycle or None.  A quiver
+computes it once, by one pass over its int adjacency, and keeps it, so the
 recognizers that ``families.auto_decompose`` runs in turn (type A, type D
 and the cycle peeling below) walk each block at most once between them.
 
@@ -21,36 +22,8 @@ vertex and contributes its remaining path as a fresh chain.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .decomposition import ChainDecomposition, decompose_with_chains
-from .quiver import Label, Quiver
-
-
-def blocks(q: Quiver) -> list[tuple[Label, ...]]:
-    """Biconnected blocks of the underlying graph, sorted by (size, vertices).
-
-    Each block is a sorted vertex tuple; an isolated vertex is in no block.
-    One linear Hopcroft–Tarjan pass computes them the first time they are
-    asked for; the quiver stores them, and each call returns a fresh list.
-    """
-    return list(q._blocks)
-
-
-def oriented_cycle(q: Quiver, vertices: Iterable[Label]) -> tuple[Label, ...] | None:
-    """The induced subquiver on ``vertices`` as one oriented cycle, else None.
-
-    The cycle is listed in arrow direction from its smallest label.  None
-    when there are fewer than three vertices, a chord, a reversed arrow or
-    more than one cycle.  A block's answer is read off the block census.
-    """
-    inside = set(vertices)
-    if len(inside) < 3:
-        return None
-    census, block = q._blocks, tuple(sorted(inside))
-    if block in census:
-        return census[block]
-    return q._cycle_on({q.index(v) for v in inside})
+from .quiver import Quiver
 
 
 def all_cycles_oriented_decompose(q: Quiver) -> ChainDecomposition | None:

@@ -68,10 +68,7 @@ def auto_decompose(q: Quiver) -> tuple[str, ChainDecomposition] | None:
         return "mu_a", decompose_with_chains(q, _peel(q, tris))
     cls = classify_type_d(q)
     if cls is not None:
-        try:
-            return "mu_d", type_d_decompose(q, cls)
-        except DecompositionError:
-            pass
+        return "mu_d", type_d_decompose(q, cls)
     cycles = all_cycles_oriented_decompose(q)
     if cycles is not None:
         return "oriented_cycles", cycles

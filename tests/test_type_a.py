@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import reference_cycles
+from conftest import mutation_walk, reference_cycles
 from greenseq.decomposition import (
     construct_mgs,
     expected_mgs_length,
@@ -15,12 +15,11 @@ from greenseq.decomposition import (
 from greenseq.families import linear_a
 from greenseq.fixtures import fig8_quiver, type_a_samples
 from greenseq.oracle import min_mgs_length
-from greenseq.quiver import Verdict, is_maximal_green_sequence, make_quiver
+from greenseq.quiver import is_maximal_green_sequence, make_quiver
 from greenseq.type_a import (
     NotTypeAError,
     PinnedNotConnectingError,
-    connecting_vertices,
-    is_type_a,
+    _connecting,
     triangles,
     type_a_decompose,
 )
@@ -31,43 +30,47 @@ def triangle():
 
 
 class TestRecognizer:
+    # ``triangles`` raises NotTypeAError on any quiver outside type A
+
     def test_reference_quiver(self):
-        assert is_type_a(fig8_quiver())
+        triangles(fig8_quiver())
 
     def test_sample_block(self):
         for q in type_a_samples():
-            assert is_type_a(q), q
+            triangles(q)
 
     def test_linear_quivers(self):
         for n in range(1, 6):
-            assert is_type_a(linear_a(n)[0])
+            triangles(linear_a(n)[0])
 
     def test_non_oriented_triangle_rejected(self):
         q = make_quiver([1, 2, 3], [(1, 2), (3, 2), (3, 1)])
-        verdict = is_type_a(q)
-        assert not verdict
-        assert "oriented" in verdict.reason
+        with pytest.raises(NotTypeAError, match="oriented"):
+            triangles(q)
 
     def test_empty_quiver_rejected(self):
         empty = make_quiver([], [])
-        assert is_type_a(empty) == Verdict(False, "no vertices")
+        with pytest.raises(NotTypeAError, match="^no vertices$"):
+            triangles(empty)
         with pytest.raises(NotTypeAError, match="no vertices"):
             type_a_decompose(empty)
 
     def test_long_cycle_rejected(self):
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
-        assert not is_type_a(q)
+        with pytest.raises(NotTypeAError):
+            triangles(q)
 
     def test_degree_five_rejected(self):
         arrows = [("0", str(i)) for i in range(1, 6)]
         q = make_quiver(["0", "1", "2", "3", "4", "5"], arrows)
-        assert not is_type_a(q)
+        with pytest.raises(NotTypeAError):
+            triangles(q)
 
     def test_degree_three_needs_free_arrow(self):
         # two triangles sharing an arrow is already a non-triangle cycle,
         # but a triangle with a chord-free extra arrow inside no triangle is fine
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 1), (3, 4)])
-        assert is_type_a(q)
+        assert triangles(q) == [("1", "2", "3")]
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
@@ -78,7 +81,7 @@ class TestRecognizer:
             rng.shuffle(perm)
             mapping = dict(zip(labels, perm))
             q = make_quiver(perm, [(mapping[u], mapping[v]) for u, v, _ in base.arrows()])
-            assert is_type_a(q)
+            triangles(q)
 
 
 def star(centre, leaves):
@@ -88,11 +91,11 @@ def star(centre, leaves):
 class TestRejectionMessages:
     """The exact text of each type-A rejection, in the order the checks run.
 
-    Two clauses can never fire once the blocks are arrows and oriented
-    triangles: two triangle blocks share at most one vertex, so a
-    degree-4 vertex in two of them sees four others, and a degree-3 vertex
-    in one of them has exactly one arrow outside it.  Their messages are
-    not pinned.
+    One clause can never fire once the blocks are arrows and oriented
+    triangles: two triangle blocks share at most one vertex, so a degree-4
+    vertex in two of them sees four others.  Its message is not pinned.  A
+    degree-3 vertex in one triangle has exactly one arrow outside it, so
+    that case needs no check at all.
     """
 
     @pytest.mark.parametrize(
@@ -150,23 +153,27 @@ class TestRejectionMessages:
         with pytest.raises(NotTypeAError) as err:
             triangles(q)
         assert str(err.value) == message
-        assert is_type_a(q) == Verdict(False, message)
 
 
 class TestConnecting:
+    """``_connecting`` on the triangles that ``triangles`` found, as the
+    type-D rule reads it for each part."""
+
     def test_a2_both_connecting(self):
-        assert connecting_vertices(linear_a(2)[0]) == {"1", "2"}
+        q = linear_a(2)[0]
+        assert _connecting(q, triangles(q)) == {"1", "2"}
 
     def test_triangle_all_connecting(self):
-        assert connecting_vertices(triangle()) == {"1", "2", "3"}
+        assert _connecting(triangle(), triangles(triangle())) == {"1", "2", "3"}
 
     def test_path_midpoint_not_connecting(self):
-        assert connecting_vertices(linear_a(3)[0]) == {"1", "3"}
+        q = linear_a(3)[0]
+        assert _connecting(q, triangles(q)) == {"1", "3"}
 
     def test_not_type_a_raises(self):
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
         with pytest.raises(NotTypeAError):
-            connecting_vertices(q)
+            _connecting(q, triangles(q))
 
 
 class TestDecompose:
@@ -215,8 +222,11 @@ class TestDecompose:
             assert is_maximal_green_sequence(q, construct_mgs(dec))
 
     def test_pinned_samples_verify(self):
-        for q in type_a_samples():
-            for pin in sorted(connecting_vertices(q)):
+        # the fixtures, then every member of seeded A4-A9 mutation walks
+        rng = random.Random(26)
+        walks = [q for n in range(4, 10) for _ in range(3) for q in mutation_walk(rng, "A", n)]
+        for q in type_a_samples() + walks:
+            for pin in sorted(_connecting(q, triangles(q))):
                 dec = type_a_decompose(q, pinned=[pin])
                 assert (pin,) in dec.chains
                 assert is_maximal_green_sequence(q, construct_mgs(dec))
@@ -228,7 +238,7 @@ class TestDecompose:
         rng = random.Random(314)
         for _ in range(40):
             q = random_type_a_quiver(rng, rng.randint(0, 6))
-            assert is_type_a(q), q.arrows()
+            triangles(q)
             dec = type_a_decompose(q)
             assert validate_chains(dec.chains, dec.obliques) == []
             seq = construct_mgs(dec)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import mutation_walk
 from greenseq import families, type_a, type_d
 from greenseq.decomposition import (
     ValidationFailedError,
@@ -46,6 +49,28 @@ class TestClassification:
         cls = classify_type_d(fig10_quiver("d"))
         assert set(cls.central) == {"4", "5", "6", "7", "8"}
         assert cls.spikes == (("6", "5", "3"),)
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("a", {"kind": "I", "a": "1", "b": "3", "c": "2"}),
+            ("b", {"kind": "II", "a": "5", "b": "8", "c": "7", "d": "6"}),
+            ("c", {"kind": "III", "a": "6", "b": "4", "c": "3", "d": "5"}),
+            (
+                "d",
+                {
+                    "kind": "IV",
+                    "central": ["4", "8", "7", "6", "5"],
+                    "spikes": [{"from": "6", "to": "5", "apex": "3"}],
+                },
+            ),
+        ],
+        ids=["I", "II", "III", "IV"],
+    )
+    def test_to_dict(self, kind, expected):
+        # kinds I-III name their vertices a-d and have no central cycle or
+        # spikes; type IV has only those
+        assert classify_type_d(fig10_quiver(kind)).to_dict() == expected
 
     def test_linear_quivers_not_classified(self):
         assert classify_type_d(linear_a(3)[0]) is None
@@ -173,6 +198,23 @@ class TestDecomposition:
             assert tag == "mu_d"
             assert is_maximal_green_sequence(q, construct_mgs(dec))
 
+    def test_every_walk_member_is_classified_and_decomposes(self):
+        # auto_decompose runs type_d_decompose unguarded once classify_type_d
+        # has accepted: every member of seeded D4-D8 mutation walks is
+        # classified, and its decomposition validates and its MGS verifies
+        rng = random.Random(2026)
+        kinds = Counter()
+        for n in range(4, 9):
+            for _ in range(20):
+                for q in mutation_walk(rng, "D", n):
+                    cls = classify_type_d(q)
+                    assert cls is not None, q.arrows()
+                    kinds[cls.kind] += 1
+                    tag, dec = auto_decompose(q)
+                    assert tag == "mu_d", q.arrows()
+                    assert is_maximal_green_sequence(q, construct_mgs(dec)), q.arrows()
+        assert set(kinds) == {"I", "II", "III", "IV"}
+
     def test_auto_decompose_empty_quiver_is_none(self):
         assert auto_decompose(make_quiver([], [])) is None
 
@@ -282,8 +324,14 @@ class TestCutAndPinRule:
     # a connected quiver's candidate always has a pin in each component,
     # since every component reaches the cut through one, and two pins in
     # one component also break its type-A check; made by hand, each fault
-    # breaks only the pin count
+    # breaks only the pin count, or leaves no cut at all
     HAND_MADE = {
+        # type IV without a central cycle cuts nothing, though its one
+        # component is type A with the apex connecting
+        "no-central": (
+            make_quiver(["a", "b"], [("a", "b")]),
+            TypeDClassification("IV", spikes=(("x", "y", "a"),)),
+        ),
         # fig10 (d) without its spike leaves the apex's component unpinned
         "no-pin": (
             fig10_quiver("d"),
