@@ -246,8 +246,6 @@ def _cmd_search(args) -> int:
         except ValueError:
             raise CliError(f"GREENSEQ_NODE_CAP is not an integer: {env_cap!r}")
     limits = {"node_cap": node_cap, "mutable_cap": args.mutable_cap}
-    if args.mode == "min" and args.include_sequences:
-        raise CliError("--include-sequences applies only to --mode count")
     try:
         if args.mode == "min":
             value = min_mgs_length(q, args.max_len, **limits)
@@ -257,7 +255,7 @@ def _cmd_search(args) -> int:
             report = oracle_report(
                 q,
                 args.max_len,
-                include_sequences=(args.mode == "enumerate") or args.include_sequences,
+                include_sequences=args.mode == "enumerate",
                 **limits,
             )
             if report["budget_exhausted"]:
@@ -371,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MUTABLE_CAP,
         help="refuse (exit 3) quivers with more vertices than this",
-    )
-    sea.add_argument(
-        "--include-sequences",
-        action="store_true",
-        help="count mode only: also list the maximal green sequences",
     )
     sea.set_defaults(handler=_cmd_search)
 

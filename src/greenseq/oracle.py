@@ -18,13 +18,16 @@ in ``RecursionError``.
 A state is the extended exchange matrix [B | C] in the sparse form of
 :mod:`greenseq.quiver`, one dict of nonzero entries per mutable vertex,
 together with the overflow flag the shared kernel returned when it made the
-state.  The kernel writes in place, so a move that keeps its parent copies
-the rows it writes and runs the kernel on the copy (:meth:`_Search.mutate`):
-a child shares the other rows with its parent.  The enumeration and the
-dynamic programme keep only the state at the end of their path, in one copy
-of the start rows: they step forward by mutating it in place, and back by
-mutating it again, since mutation is an involution.
-One pass over the C entries of a state gives its green and its red rows.
+state.  The kernel writes in place, and the engines use it by one rule.
+The depth-first engines, :func:`_walk` (enumeration and the iterative
+deepening) and :func:`_count_dp`, step one copy in place and undo: they
+keep only the state at the end of their path, in one copy of the start
+rows, step forward by mutating it, and back by mutating it again at the
+same row, since mutation is an involution.  Only the breadth-first search,
+which holds whole levels of states, copies on write: a child it keeps gets
+copies of the rows the kernel writes and shares the others with its parent
+(:func:`_child`).  One pass over the C entries of a state gives its green
+and its red rows.
 
 The memo of the dynamic programme and the visited sets of the breadth-first
 search key a state by its c-vectors alone, sorted (:meth:`_Search.key`), so
@@ -72,17 +75,6 @@ DEFAULT_MUTABLE_CAP = 8
 
 class BudgetExceededError(QuiverError):
     pass
-
-
-@dataclass
-class _Budget:
-    node_cap: int
-    nodes: int = 0
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise BudgetExceededError(f"search exceeded {self.node_cap} nodes")
 
 
 # the rows of [B | C] and whether an entry has reached the safe bound
@@ -149,23 +141,20 @@ class _Search:
         self.end: State = (rows, _unsafe(rows))
         self._labels = q.vertices
         self.max_len = max_len
-        self.budget = _Budget(node_cap)
+        self.node_cap = node_cap
+        self.nodes = 0
 
     def spend(self, unsafe: bool) -> None:
         """Count one child of a state against the node budget, and refuse
         it when the state is flagged unsafe."""
-        self.budget.spend()
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            raise BudgetExceededError(f"search exceeded {self.node_cap} nodes")
         if unsafe:
             # overflow must surface as an error, never as a wrong answer
             raise BudgetExceededError(
                 "arrow multiplicities exceed the safe search range"
             )
-
-    def mutate(self, state: State, k: int) -> State:
-        """The child at row ``k``, counted by :meth:`spend` and made by
-        :func:`_child`; ``state`` is left unchanged."""
-        self.spend(state[1])
-        return _child(state[0], k)
 
     def colors(self, state: State) -> tuple[list[int], list[int]]:
         """The green rows and the red rows, each in ascending order."""
@@ -210,14 +199,18 @@ class _Search:
         return [self._labels[k] for k in path]
 
 
-def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
-    """Depth-first pre-order over the green tree, on an explicit stack.
+def _walk(search: _Search, max_len: int | None) -> Iterator[tuple[list[int], bool]]:
+    """Depth-first pre-order over the green tree, on an explicit stack, with
+    no green move taken from a state ``max_len`` steps deep (None: no bound).
 
     Yields the path of row indices to each state, and whether that state is
     all red.  The path is one list, changed by the next step, so a caller
     copies what it keeps.  Each frame makes its next child only when the
     previous child's subtree is exhausted, so mutations happen, and the
-    budget is spent, in the order of the yields.
+    budget is spent, in the order of the yields; a caller that stops at a
+    yield spends nothing past it.  Enumeration walks under the search's
+    ``max_len``, and the iterative deepening of :func:`_min_iddfs` once
+    under each bound up to it.
 
     Only the state at the end of the path is kept, in one copy of the start
     rows.  A step forward mutates it in place, and a step back mutates it
@@ -226,31 +219,23 @@ def _walk(search: _Search) -> Iterator[tuple[list[int], bool]]:
     and one iterator per state, not one state.
     """
     path: list[int] = []
-
-    def visit(state: State) -> tuple[bool, Iterator[int]]:
-        green, red = search.colors(state)
-        if search.max_len is not None and len(path) >= search.max_len:
-            green = []
-        return len(red) == len(state[0]), iter(green)
-
     rows = [row.copy() for row in search.start[0]]
-    all_red, moves = visit(search.start)
-    yield path, all_red
-    stack = [(search.start[1], moves)]
-    while stack:
-        unsafe, pending = stack[-1]
-        k = next(pending, None)
-        if k is None:
+    unsafe = search.start[1]
+    stack: list[tuple[bool, Iterator[int]]] = []
+    while True:
+        green, red = search.colors((rows, unsafe))
+        if max_len is not None and len(path) >= max_len:
+            green = []
+        yield path, len(red) == len(rows)
+        stack.append((unsafe, iter(green)))
+        while (k := next(stack[-1][1], None)) is None:
             stack.pop()
-            if stack:  # the root frame has no step on the path
-                _mutate_rows(rows, path.pop())
-            continue
-        search.spend(unsafe)
+            if not stack:  # the root frame has no step on the path
+                return
+            _mutate_rows(rows, path.pop())
+        search.spend(stack[-1][0])
         unsafe = _mutate_rows(rows, k)[1]
         path.append(k)
-        all_red, moves = visit((rows, unsafe))
-        yield path, all_red
-        stack.append((unsafe, moves))
 
 
 @dataclass(slots=True)
@@ -353,7 +338,7 @@ def enumerate_green_sequences(
     built without the checks of the public constructor.
     """
     search = _Search(q, max_len, node_cap, mutable_cap)
-    for path, maximal in _walk(search):
+    for path, maximal in _walk(search, search.max_len):
         yield MutationSequence._unchecked(tuple(search.steps(path))), maximal
 
 
@@ -411,10 +396,19 @@ def _min_bfs(search: _Search) -> int | None:
     That meet is a shortest one: a child made at depth d + 1 that meets the
     other side below its frontier would be a state that side has expanded,
     so it has made the parent, which this side has held at depth d since
-    before, and that meet would have been found first.  A side
-    whose frontier empties has listed every state it reaches, and no meet
-    then means no MGS; under ``max_len`` the search answers None once the
-    two depths add up to it.
+    before, and that meet would have been found first.  Under ``max_len``
+    the search answers None once the two depths add up to it.
+
+    No frontier empties before the meet, with or without ``max_len``.  A
+    forward side that empties has listed every state it reaches, finitely
+    many, so a green path from the start ends at a state with no green row.  By
+    sign-coherence every row of that state is red, and by
+    Brüstle-Dupont-Pérotin its C is -P for a permutation P, which is the
+    key of the backward start: the child that made it met the other side.
+    The backward side is the mirror case: a red path from the end ends all
+    green, at C = P, the key of the forward start.  So the last
+    ``return None`` cannot be reached; it stays as the guard that ends the
+    loop, which an empty frontier would otherwise spin.
     """
     levels: list[list[tuple[State, CVectors]]] = [
         [(state, search.cvectors(state))] for state in (search.start, search.end)
@@ -447,40 +441,19 @@ def _min_bfs(search: _Search) -> int | None:
 
 def _min_iddfs(search: _Search) -> int | None:
     """Iterative deepening: the least depth within ``max_len`` at which a
-    green path from the start ends all red, or None."""
+    green path from the start ends all red, or None.
+
+    Each depth is one :func:`_walk` under that bound, without a memo, which
+    stops at its first all-red state; the budget is spent across all of
+    them.
+    """
     max_len = search.max_len
     if max_len is None:
         raise QuiverError("dfs engine needs max_len to be able to answer None")
     for depth in range(max_len + 1):
-        if _reaches_all_red(search, depth):
+        if any(all_red for _, all_red in _walk(search, depth)):
             return depth
     return None
-
-
-def _reaches_all_red(search: _Search, depth: int) -> bool:
-    """Whether a green path of at most ``depth`` steps from the start ends all red.
-
-    Depth-first without a memo, on an explicit stack of (state, pending
-    green moves) frames, so a deep bound ends at the budget, never in
-    ``RecursionError``.  Children are made, and the budget spent, in
-    ascending move order, and the search stops at the first all-red state.
-    """
-    stack: list[tuple[State, Iterator[int]]] = []
-    state = search.start
-    while True:
-        green, red = search.colors(state)
-        if len(red) == len(state[0]):
-            return True
-        if len(stack) < depth:
-            stack.append((state, iter(green)))
-        while stack:
-            k = next(stack[-1][1], None)
-            if k is not None:
-                state = search.mutate(stack[-1][0], k)
-                break
-            stack.pop()
-        else:
-            return False
 
 
 def oracle_report(
@@ -500,7 +473,8 @@ def oracle_report(
     try:
         search = _Search(q, max_len, node_cap, mutable_cap)
         if include_sequences:
-            sequences = [search.steps(path) for path, maximal in _walk(search) if maximal]
+            walk = _walk(search, search.max_len)
+            sequences = [search.steps(path) for path, maximal in walk if maximal]
             count, best = len(sequences), min(map(len, sequences), default=None)
         else:
             count, best = _count_dp(search)

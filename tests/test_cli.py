@@ -494,13 +494,6 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "node_cap must not be negative" in err
 
-    def test_include_sequences_with_min_exits_2(self, capsys, tmp_path):
-        a3 = make_quiver(["1", "2", "3"], [("2", "1"), ("3", "2")])
-        qfile = write_quiver(tmp_path / "q.json", a3)
-        code, out, err = run(capsys, "search", qfile, "--mode", "min", "--include-sequences")
-        assert code == 2 and out == ""
-        assert "--include-sequences applies only to --mode count" in err
-
     # full subquivers of Hernandez-Leclerc windows with a column gap, which
     # no chain decomposition covers, and their shortest MGS
     HL_GAPPED = {

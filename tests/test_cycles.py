@@ -305,6 +305,15 @@ class TestDecompose:
         assert underlying_quiver(dec) == q
         assert is_maximal_green_sequence(q, construct_mgs(dec))
 
+    def test_single_vertex(self):
+        # auto_decompose answers one vertex as type A before this runs
+        q = make_quiver(["x"], [])
+        dec = all_cycles_oriented_decompose(q)
+        assert dec.chains == (("x",),)
+        seq = construct_mgs(dec)
+        assert list(seq) == ["x"]
+        assert is_maximal_green_sequence(q, seq)
+
     def test_non_oriented_cycle_returns_none(self):
         q = make_quiver([1, 2, 3, 4], [(1, 2), (2, 3), (4, 3), (4, 1)])
         assert all_cycles_oriented_decompose(q) is None

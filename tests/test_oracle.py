@@ -26,6 +26,7 @@ from greenseq.fixtures import fig8_quiver
 from greenseq import oracle
 from greenseq.oracle import (
     BudgetExceededError,
+    _child,
     _count_dp,
     _min_bfs,
     _min_iddfs,
@@ -87,7 +88,7 @@ def oracle_state(search, q, steps):
     """The oracle's own state after ``steps`` from the framing of ``q``."""
     state = search.start
     for v in steps:
-        state = search.mutate(state, q.index(v))
+        state = _child(state[0], q.index(v))
     return state
 
 
@@ -100,7 +101,7 @@ def red_run(search, picks):
         red = search.colors(state)[1]
         if state[1] or not red:
             break
-        state = search.mutate(state, red[pick % len(red)])
+        state = _child(state[0], red[pick % len(red)])
         states.append(state)
     return states
 
@@ -113,7 +114,7 @@ def reachable(search, side):
     while todo:
         state = todo.pop()
         for k in search.colors(state)[side]:
-            child = search.mutate(state, k)
+            child = _child(state[0], k)
             if b_and_c(child) not in seen:
                 seen.add(b_and_c(child))
                 states.append(child)
@@ -203,7 +204,9 @@ class TestEnumeration:
 
         search = _Search(q, max_len, node_cap, 8)
         want = listed(
-            lambda: ((MutationSequence(search.steps(path)), m) for path, m in _walk(search))
+            lambda: (
+                (MutationSequence(search.steps(path)), m) for path, m in _walk(search, max_len)
+            )
         )
         got = listed(lambda: enumerate_green_sequences(q, max_len, node_cap))
         assert got == want
@@ -394,6 +397,17 @@ class TestBidirectional:
         finally:
             sys.setrecursionlimit(old)
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(q=small_quivers())
+    def test_answers_a_length_or_runs_out_of_budget(self, q):
+        # without max_len a side whose frontier empties has met the other
+        # (sign-coherence and BDP), so None is never the answer
+        try:
+            least = min_mgs_length(q, node_cap=self.CAP)
+        except BudgetExceededError:
+            return
+        assert type(least) is int
+
     def test_max_len_bounds_the_sum_of_the_depths(self):
         q = oriented_cycle(4)
         assert [min_mgs_length(q, max_len) for max_len in range(8)] == [None] * 6 + [6, 6]
@@ -401,7 +415,33 @@ class TestBidirectional:
     def test_start_already_at_the_end(self):
         search = _Search(linear_a(2)[0], 0, 10, 8)
         search.start = search.end
-        assert _min_bfs(search) == 0 and search.budget.nodes == 0
+        assert _min_bfs(search) == 0 and search.nodes == 0
+
+
+class TestIterativeDeepening:
+    """The iterative deepening runs :func:`_walk` once per depth bound and
+    stops at the first all-red state.  Its answers and node counts are
+    pinned, so a change to the walk that changes how the budget is spent
+    fails here."""
+
+    @pytest.mark.parametrize(
+        "q, max_len, least, nodes",
+        [
+            (linear_a(4)[0], 4, 4, 154),
+            (type_d(4), 4, 4, 134),
+            (oriented_cycle(4), 6, 6, 358),
+            (oriented_cycle(5), 8, 8, 6018),
+            (MARKOV, 6, None, 168),
+        ],
+        ids=["A4", "D4", "C4", "C5", "markov"],
+    )
+    def test_answer_and_nodes_spent(self, q, max_len, least, nodes):
+        search = _Search(q, max_len, 20_000, 8)
+        assert _min_iddfs(search) == least
+        assert search.nodes == nodes
+        assert min_mgs_length(q, max_len, node_cap=nodes, engine="dfs") == least
+        with pytest.raises(BudgetExceededError, match=f"search exceeded {nodes - 1} nodes"):
+            min_mgs_length(q, max_len, node_cap=nodes - 1, engine="dfs")
 
 
 class TestBudgets:
@@ -625,7 +665,7 @@ class TestCVectorStep:
         cs = search.cvectors(state)
         for k in moves:
             stepped = _step_cvectors(cs, state[0][k], k)
-            child = search.mutate(state, k)
+            child = _child(state[0], k)
             assert stepped == search.cvectors(child)
             assert tuple(sorted(stepped)) == search.key(child)
             # a c-vector the move leaves alone is the parent's tuple
@@ -678,13 +718,13 @@ class TestAllRedLeaves:
 
 
 class TestCopyOnWrite:
-    """``_Search.mutate`` copies the rows the in-place kernel writes, so a
-    parent state is never changed by making a child, and the engines, which
-    step back in place, leave the start state as they found it."""
+    """:func:`_child` copies the rows the in-place kernel writes, so a parent
+    state is never changed by making a child, and the depth-first engines,
+    which step back in place, leave the start state as they found it."""
 
     ENGINES = {
         "count": _count_dp,
-        "walk": lambda search: deque(_walk(search), maxlen=0),
+        "walk": lambda search: deque(_walk(search, search.max_len), maxlen=0),
         "bfs": _min_bfs,
         "iddfs": _min_iddfs,
     }
@@ -698,7 +738,7 @@ class TestCopyOnWrite:
         before = copy.deepcopy(state)
         if not state[1]:  # an unsafe state has no children
             for k in range(len(q.vertices)):  # green or not
-                search.mutate(state, k)
+                _child(state[0], k)
                 assert state == before
 
     @KEYS

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ice_quiver
+from greenseq.decomposition import build_decomposition
 from greenseq.quiver import (
     Color,
     ConsecutiveRepeatAfterRestrictionError,
@@ -42,6 +43,23 @@ from greenseq.quiver import (
 
 def a2() -> Quiver:
     return make_quiver(["1", "2"], [("2", "1")])
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (a2, "Quiver(2 vertices, 1 arrows)"),
+        (lambda: IceQuiver(a2(), frozenset({"1"})), "IceQuiver(1 mutable, 1 frozen)"),
+        (lambda: build_decomposition([["1", "2"]]), "ChainDecomposition(lengths=(2,))"),
+    ],
+    ids=["quiver", "ice-quiver", "chain-decomposition"],
+)
+def test_repr_and_equality_with_another_type(make, text):
+    obj = make()
+    assert repr(obj) == text
+    # another type is left to its own __eq__, so the comparison is False
+    assert obj.__eq__(a2().vertices) is NotImplemented
+    assert obj != a2().vertices and obj == obj
 
 
 class TestMakeQuiver:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from enum import IntEnum
 
 import pytest
 
@@ -134,6 +135,25 @@ def test_malformed_arrows_named(arrows, message):
         quiver_from_dict({"vertices": ["a", "b", "c"], "arrows": arrows})
     assert type(err.value) is QuiverError
     assert str(err.value) == message
+
+
+def test_arrows_that_only_the_per_arrow_checks_admit():
+    # JSON gives only plain types, but a Python caller may pass a str
+    # subclass or an IntEnum: the whole-list type scans refuse both, and
+    # the per-arrow isinstance checks admit them
+    class Label(str):
+        pass
+
+    class Mult(IntEnum):
+        TWO = 2
+
+    for arrow in (
+        {"from": Label("a"), "to": "b", "mult": 2},
+        {"from": "a", "to": "b", "mult": Mult.TWO},
+    ):
+        q = quiver_from_dict({"vertices": ["a", "b"], "arrows": [arrow]})
+        assert q == make_quiver(["a", "b"], [("a", "b", 2)])
+        assert [tuple(map(type, a)) for a in q.arrows()] == [(str, str, int)]
 
 
 def test_arrows_are_checked_before_vertices():
