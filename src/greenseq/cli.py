@@ -7,8 +7,7 @@ oracle), and ``export`` (DOT or JSON).
 
 Exit codes: 0 success / verified true, 1 verified false, 2 invalid input,
 3 search budget exceeded.  Reports are printed to stdout as JSON, written
-once at command end; a one-line human summary goes to stderr.  The
-environment variable ``GREENSEQ_NODE_CAP`` overrides the oracle node budget.
+once at command end; a one-line human summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -238,14 +236,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     q = _load_plain_quiver(args.quiver)
-    node_cap = args.node_cap
-    env_cap = os.environ.get("GREENSEQ_NODE_CAP")
-    if env_cap is not None:
-        try:
-            node_cap = int(env_cap)
-        except ValueError:
-            raise CliError(f"GREENSEQ_NODE_CAP is not an integer: {env_cap!r}")
-    limits = {"node_cap": node_cap, "mutable_cap": args.mutable_cap}
+    limits = {"node_cap": args.node_cap, "mutable_cap": args.mutable_cap}
     try:
         if args.mode == "min":
             value = min_mgs_length(q, args.max_len, **limits)
@@ -361,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-cap",
         type=int,
         default=DEFAULT_NODE_CAP,
-        help="budget of mutations the search may make; exit 3 beyond it "
-        "(GREENSEQ_NODE_CAP overrides)",
+        help="budget of mutations the search may make; exit 3 beyond it",
     )
     sea.add_argument(
         "--mutable-cap",

@@ -274,20 +274,22 @@ def build_decomposition(
 
 def validate_chains(
     chains: Iterable[Iterable[Label]],
-    obliques: Iterable[Oblique],
+    obliques: Iterable[tuple],
 ) -> list[Violation]:
     """Check all decomposition rules; empty result means valid.
 
-    Violations name the broken rule: oblique arrows staying inside a chain,
-    pair obliques not forming a single alternating path, positions not
-    strictly increasing, several paths between one chain pair, a cycle in
-    the chain-adjacency graph, or a disconnected quiver.
+    The report is the one :class:`ChainDecomposition` raises for the same
+    chains and obliques, in the same order.  Violations name the broken
+    rule: oblique arrows staying inside a chain, pair obliques not forming
+    a single alternating path, positions not strictly increasing, several
+    paths between one chain pair, a cycle in the chain-adjacency graph, or
+    a disconnected quiver.
     """
-    chains = _as_chain_tuples(chains)
-    layout = _Layout(len(c) for c in chains)
-    ends = [(layout.find(src), layout.find(dst)) for src, dst in obliques]
-    distinct = len(set(itertools.chain.from_iterable(chains)))
-    return _violations(layout, distinct, ends, _unknown_end(ends))[0]
+    try:
+        ChainDecomposition(chains, obliques)
+    except DecompositionError as err:
+        return list(err.violations)
+    return []
 
 
 def _unknown_end(ends: list[tuple]) -> ChainVertex | None:
@@ -345,8 +347,9 @@ def _violations(
     paths = []
     for pair in pairs:
         path = _zigzag(layout, by_pair[pair])
-        if isinstance(path, Violation):
-            out.append(path)
+        if type(path) is tuple:
+            code, what = path
+            out.append(Violation(code, "oblique-zigzag", f"chains {pair}: {what}"))
         else:
             paths.append(path)
 
@@ -384,75 +387,47 @@ def _violations(
     return out, paths
 
 
-def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | Violation:
+def _zigzag(layout: _Layout, arrows: list[tuple[int, int]]) -> list[int] | tuple[str, str]:
     """One chain pair's obliques walked from their source, or the rule they break.
 
     They must form a single path, alternating between the two chains, whose
-    positions strictly increase on each chain.  Whole-list tests decide
-    that: as many out-ends and as many in-ends as arrows, one source, a walk
-    from it through every arrow, and each vertex of the walk above the one
-    two steps before it, which is on the same chain since every arrow
-    crosses to the other one.  Only when one fails does
-    :func:`_zigzag_fault` go through the arrows one by one to name the
-    first offence.
+    positions strictly increase on each chain.  One pass through the arrows,
+    in the given order, stops at the first that leaves or enters a vertex
+    another arrow already left or entered.  Then the walk from the one
+    source must take every arrow, or the obliques split into several paths.
+    Last, each vertex of the walk must lie above the one two steps before
+    it, which is on the same chain since every arrow crosses to the other
+    one.  A broken rule comes back as its (code, message).
     """
     if len(arrows) == 1:
         return list(arrows[0])
-    outgoing = dict(arrows)
-    entered = set(outgoing.values())
-    if len(outgoing) == len(entered) == len(arrows):
-        sources = outgoing.keys() - entered
-        if len(sources) == 1:
-            # every in-degree is 1, so the walk from the source never revisits
-            v = sources.pop()
-            path = [v]
-            step = outgoing.get
-            v = step(v)
-            while v is not None:
-                path.append(v)
-                v = step(v)
-            if len(path) == len(arrows) + 1 and all(map(operator.lt, path, path[2:])):
-                return path
-    return _zigzag_fault(layout, arrows)
-
-
-def _zigzag_fault(layout: _Layout, arrows: list[tuple[int, int]]) -> Violation:
-    """The first rule broken by a chain pair's obliques, which :func:`_zigzag` rejected.
-
-    Two obliques leaving or entering one vertex (the first such arrow in
-    the given order), then obliques that split into several paths, then the
-    first vertex on the walk from the first source that is not above the
-    vertex before it on its chain.
-    """
-    chain_of, vertex = layout.chain_of, layout.vertex
-    pair = tuple(sorted((chain_of[arrows[0][0]], chain_of[arrows[0][1]])))
-
-    def broken(code: str, what: str) -> Violation:
-        return Violation(code, "oblique-zigzag", f"chains {pair}: {what}")
-
+    vertex = layout.vertex
     outgoing: dict[int, int] = {}
     entered: set[int] = set()
     for src, dst in arrows:
         if src in outgoing:
-            return broken("non-alternating-path", f"two obliques leave {vertex(src)}")
+            return "non-alternating-path", f"two obliques leave {vertex(src)}"
         outgoing[src] = dst
         if dst in entered:
-            return broken("non-alternating-path", f"two obliques enter {vertex(dst)}")
+            return "non-alternating-path", f"two obliques enter {vertex(dst)}"
         entered.add(dst)
-    # from a source, with every in-degree at most 1, the walk never revisits
-    # a vertex; it takes every arrow only when it is the one path
-    path = [v for v in outgoing if v not in entered][:1]
-    while path and path[-1] in outgoing:
-        path.append(outgoing[path[-1]])
+    path = list(outgoing.keys() - entered)  # the sources
+    if len(path) == 1:
+        # every in-degree is at most 1, so the walk from the source never
+        # revisits; it takes every arrow only when they form one path
+        step = outgoing.get
+        v = step(path[0])
+        while v is not None:
+            path.append(v)
+            v = step(v)
     if len(path) != len(arrows) + 1:
-        return broken("multiple-paths-between-chains", "obliques split into several paths")
-    for before, x in zip(path, path[2:]):
-        if x <= before:
-            return broken(
-                "non-increasing-positions",
-                f"zigzag positions not strictly increasing at {vertex(x)}",
-            )
-    raise AssertionError(f"chains {pair}: the zigzag breaks no rule")
+        return "multiple-paths-between-chains", "obliques split into several paths"
+    # the first vertex not above the one two steps before it
+    low = next(itertools.compress(path[2:], map(operator.ge, path, path[2:])), None)
+    if low is not None:
+        what = f"zigzag positions not strictly increasing at {vertex(low)}"
+        return "non-increasing-positions", what
+    return path
 
 
 def underlying_quiver(dec: ChainDecomposition) -> Quiver:
@@ -773,8 +748,8 @@ def two_chain_mgs(dec: ChainDecomposition) -> MutationSequence:
     return MutationSequence(tuple(steps))
 
 
-def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = None) -> list[str]:
-    """Verify the local arrow shape at every step of a constructed sequence.
+def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence) -> list[str]:
+    """Verify the local arrow shape at every step of ``seq``, a sequence built from ``dec``.
 
     Before each mutation the vertex about to be mutated must have
     (1) every arrow to a mutable vertex of its own chain pointing toward it,
@@ -782,8 +757,6 @@ def check_step_shapes(dec: ChainDecomposition, seq: MutationSequence | None = No
     (3) every arrow to a frozen vertex pointing away.
     Returns a list of human-readable violations (empty when all steps pass).
     """
-    if seq is None:
-        seq = construct_mgs(dec)
     chain_of = {v: dec._layout.chain_of[i] for v, i in dec._index.items()}
     q = underlying_quiver(dec)
     frozen, rows = _framed_rows(q)

@@ -48,11 +48,11 @@ def parse_hl_label(label: Label) -> HLVertex:
     return int(match.group(1)), int(match.group(2))
 
 
-def _shifts(cartan: CartanData) -> list[list[tuple[int, int]]]:
-    """The arrow rule by node: (i, r) -> (j, r + shift) for each (j, shift)
-    in entry i - 1, one per j with b_ij != 0."""
+def _shifts(cartan: CartanData) -> list[dict[int, int]]:
+    """The arrow rule by node: (i, r) -> (j, r + shift) for each j: shift
+    in entry i - 1, one per j with b_ij != 0, ascending."""
     return [
-        [(j, cartan.b(i, j) - cartan.d(i) + cartan.d(j)) for j in cartan.support(i)]
+        {j: cartan.b(i, j) - cartan.d(i) + cartan.d(j) for j in cartan.support(i)}
         for i in cartan.nodes
     ]
 
@@ -66,7 +66,7 @@ def hl_arrows(
     shifts = _shifts(cartan)
     out = []
     for i, r in vertices:
-        for j, shift in shifts[i - 1]:
+        for j, shift in shifts[i - 1].items():
             if (j, r + shift) in present:
                 out.append(((i, r), (j, r + shift)))
     return out
@@ -91,22 +91,21 @@ def hl_quiver(cartan: CartanData, window: Iterable[HLVertex]) -> Quiver:
 def hl_ball(cartan: CartanData, seed: HLVertex, radius: int) -> list[HLVertex]:
     """Connected window: vertices within ``radius`` arrow steps of ``seed``.
 
-    Step candidates are generated from the arrow rule in both directions, so
-    the result is always a connected full subquiver of one component.
-    A seed whose node index lies outside the rank raises as
-    :func:`hl_quiver` does, before any Cartan row is read.
+    Each step follows the arrow rule of :func:`_shifts` both ways: forward
+    to (j, r + shift_ij), backward to (j, r - shift_ji).  So the result is
+    always a connected full subquiver of one component.  A seed whose node
+    index lies outside the rank raises as :func:`hl_quiver` does, before
+    any Cartan row is read.
     """
     _check_window(cartan, [seed])
+    shifts = _shifts(cartan)
     seen = {seed}
     frontier = [seed]
     for _ in range(radius):
         nxt = []
         for i, r in frontier:
-            for j in cartan.support(i):
-                bij = cartan.b(i, j)
-                forward = (j, r - cartan.d(i) + cartan.d(j) + bij)
-                backward = (j, r - cartan.d(i) + cartan.d(j) - cartan.b(j, i))
-                for cand in (forward, backward):
+            for j, shift in shifts[i - 1].items():
+                for cand in ((j, r + shift), (j, r - shifts[j - 1][i])):
                     if cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
@@ -141,7 +140,7 @@ def _follows_rule(q: Quiver, cartan: CartanData, window: dict[HLVertex, int]) ->
     shifts = _shifts(cartan)
     count = 0
     for (i, r), k in window.items():
-        for j, shift in shifts[i - 1]:
+        for j, shift in shifts[i - 1].items():
             target = window.get((j, r + shift))
             if target is not None:
                 if weight.get((k, target)) != 1:

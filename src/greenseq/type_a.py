@@ -14,13 +14,12 @@ appendages.
 The decomposer peels each triangle into a two-vertex chain plus one vertex
 kept elsewhere and makes every non-triangle vertex a singleton chain, which
 gives a constructed green sequence of the minimal possible length
-(vertex count plus triangle count).  Pinned vertices are forced into
-singleton chains, which the type-D decomposition needs.
+(vertex count plus triangle count).  One connecting vertex may be pinned
+into a singleton chain, which the type-D decomposition needs for each of
+its type-A parts.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .decomposition import ChainDecomposition, decompose_with_chains
 from .quiver import Label, Quiver, QuiverError
@@ -33,10 +32,6 @@ class NotTypeAError(QuiverError):
 
 
 class PinnedNotConnectingError(QuiverError):
-    pass
-
-
-class PinningInfeasibleError(QuiverError):
     pass
 
 
@@ -93,26 +88,25 @@ def _connecting(q: Quiver, tris: list[Triangle]) -> frozenset[Label]:
     )
 
 
-def type_a_decompose(q: Quiver, pinned: Iterable[Label] = ()) -> ChainDecomposition:
-    """Peel triangles into chains; every pinned vertex lands in a singleton."""
-    return decompose_with_chains(q, _peel(q, triangles(q), pinned))
+def type_a_decompose(q: Quiver, pin: Label | None = None) -> ChainDecomposition:
+    """Peel triangles into chains; the pin, when given, lands in a singleton."""
+    return decompose_with_chains(q, _peel(q, triangles(q), pin))
 
 
-def _peel(
-    q: Quiver, tris: list[Triangle], pinned: Iterable[Label] = ()
-) -> list[list[Label]]:
+def _peel(q: Quiver, tris: list[Triangle], pin: Label | None = None) -> list[list[Label]]:
     """The chains of :func:`type_a_decompose`, given the triangles of ``q``.
 
     The triangle-adjacency graph of a type-A quiver is a forest; each
-    component is walked breadth first from a root triangle (the pinned one
+    component is walked breadth first from a root triangle (the pin's one
     when present, else its first) so that every later triangle still has
-    two unplaced vertices.  The chains are not validated here.
+    two unplaced vertices.  A connecting pin lies in at most one triangle,
+    so it is the solo vertex of its component's root, or else in no
+    triangle and a singleton anyway.  The chains are not validated here.
     """
-    pinned = {str(v) for v in pinned}
-    connecting = _connecting(q, tris)
-    for p in pinned:
-        if p not in connecting:
-            raise PinnedNotConnectingError(f"pinned vertex {p!r} is not connecting")
+    if pin is not None:
+        pin = str(pin)
+        if pin not in _connecting(q, tris):
+            raise PinnedNotConnectingError(f"pinned vertex {pin!r} is not connecting")
 
     tri_at: dict[Label, list[int]] = {}
     for i, t in enumerate(tris):
@@ -146,18 +140,10 @@ def _peel(
             continue
         order = glued(first)
         seen.update(order)
-        pinned_tris = [i for i in order if pinned.intersection(tris[i])]
-        if len(pinned_tris) > 1:
-            raise PinningInfeasibleError(
-                "two pinned vertices inside one glued triangle block"
-            )
-        if pinned_tris and pinned_tris[0] != first:
-            order = glued(pinned_tris[0])
-        root = order[0]
-        root_pins = sorted(pinned.intersection(tris[root]))
-        if len(root_pins) > 1:
-            raise PinningInfeasibleError("two pinned vertices in one triangle")
-        solo = root_pins[0] if root_pins else min(tris[root])
+        root = next((i for i in order if pin in tris[i]), first)
+        if root != first:
+            order = glued(root)
+        solo = pin if pin in tris[root] else min(tris[root])
         rest = [v for v in tris[root] if v != solo]
         chains.append([solo])
         placed.add(solo)
@@ -165,8 +151,7 @@ def _peel(
 
         # a vertex lies in at most two triangles and they form a forest, so
         # each later triangle shares exactly one placed vertex, the one it
-        # shares with its parent in the walk; a pin lies in one triangle
-        # only, which is then the root
+        # shares with its parent in the walk
         for idx in order[1:]:
             pair_chain(*(v for v in tris[idx] if v not in placed))
 

@@ -284,7 +284,7 @@ def type_d_decompose(q: Quiver, cls: TypeDClassification) -> ChainDecomposition:
     if parts is None:
         why = f"the type-{cls.kind} cut does not leave type-A parts, one pin each"
         raise ValidationFailedError([Violation("type-d-parts", "type-d-cut", why)])
-    peeled = {pin: _peel(sub, tris, [pin]) for pin, (sub, tris) in parts.items()}
+    peeled = {pin: _peel(sub, tris, pin) for pin, (sub, tris) in parts.items()}
     if cls.kind == "I":
         return decompose_with_chains(q, peeled[cls.c] + [[cls.a], [cls.b]])
 

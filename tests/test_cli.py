@@ -472,11 +472,11 @@ class TestSearch:
         assert code == 3
         assert json.loads(out)["budget_exhausted"] is True
 
-    def test_node_cap_env(self, capsys, tmp_path, monkeypatch):
+    def test_node_cap_env(self, capsys, tmp_path):
+        # a small --node-cap ends the search on a quiver that has an MGS
         qfile = tmp_path / "q.json"
         run(capsys, "generate", "--fixture", "fig8", "--quiver-out", str(qfile))
-        monkeypatch.setenv("GREENSEQ_NODE_CAP", "5")
-        assert run(capsys, "search", str(qfile), "--mode", "min")[0] == 3
+        assert run(capsys, "search", str(qfile), "--mode", "min", "--node-cap", "5")[0] == 3
 
     @pytest.mark.parametrize("mode", ["count", "min", "enumerate"])
     @pytest.mark.parametrize("flag", ["--max-len", "--node-cap", "--mutable-cap"])
@@ -485,14 +485,6 @@ class TestSearch:
         code, out, err = run(capsys, "search", qfile, "--mode", mode, flag, "-1")
         assert code == 2 and out == ""
         assert "must not be negative" in err
-
-    @pytest.mark.parametrize("mode", ["count", "min"])
-    def test_negative_node_cap_env_exits_2(self, capsys, tmp_path, monkeypatch, mode):
-        qfile = write_quiver(tmp_path / "q.json", make_quiver(["1", "2"], [("2", "1")]))
-        monkeypatch.setenv("GREENSEQ_NODE_CAP", "-1")
-        code, out, err = run(capsys, "search", qfile, "--mode", mode)
-        assert code == 2 and out == ""
-        assert "node_cap must not be negative" in err
 
     # full subquivers of Hernandez-Leclerc windows with a column gap, which
     # no chain decomposition covers, and their shortest MGS
@@ -875,12 +867,6 @@ class TestExitContract:
     CASES = {
         "unreadable-file": (lambda t: ["mgs", str(t / "missing.json")], None, 2, "cannot read"),
         "frozen-vertices": (lambda t: ["mgs", _ice_file(t)], None, 2, "without frozen vertices"),
-        "node-cap-not-int": (
-            lambda t: ["search", _path_file(t)],
-            lambda mp: mp.setenv("GREENSEQ_NODE_CAP", "many"),
-            2,
-            "GREENSEQ_NODE_CAP is not an integer: 'many'",
-        ),
         "random-qn-no-chains": (
             lambda t: ["generate", "--family", "random-qn"], None, 2, "random-qn needs --chains",
         ),

@@ -138,6 +138,47 @@ class TestBuildAndValidate:
             for violation in report:
                 assert violation.code and violation.clause and violation.message
 
+    def test_report_is_the_constructors(self):
+        # corrupted and shuffled obliques, as chain vertices or as labels:
+        # validate_chains lists what the constructor raises, in its order
+        import random as _random
+
+        rng = _random.Random(28)
+        broken = 0
+        for seed in range(200):
+            dec = random_decomposition(seed, seed % 5 + 1, 12)
+            obliques = list(dec.obliques)
+            for _ in range(rng.randint(0, 3)):
+                src, dst = rng.choice(obliques) if obliques else (None, None)
+                kind = rng.randrange(5)
+                if kind == 0 and src:
+                    obliques.append((dst, src))
+                elif kind == 1 and src:
+                    obliques.append((src, dst))
+                elif kind == 2:
+                    chain = rng.randint(1, dec.n_chains)
+                    top = len(dec.chains[chain - 1])
+                    obliques.append(
+                        (ChainVertex(chain, rng.randint(1, top)),
+                         ChainVertex(chain, rng.randint(1, top)))
+                    )
+                elif kind == 3 and src:
+                    obliques.append((src, ChainVertex(dec.n_chains + 1, 1)))
+                elif obliques:
+                    obliques.pop(rng.randrange(len(obliques)))
+            rng.shuffle(obliques)
+            if seed % 2:
+                label = lambda cv: dec.label_of(cv) if cv.chain <= dec.n_chains else cv
+                obliques = [(label(src), label(dst)) for src, dst in obliques]
+            try:
+                build_decomposition(dec.chains, obliques)
+            except decomposition.DecompositionError as err:
+                broken += 1
+                assert validate_chains(dec.chains, obliques) == list(err.violations)
+            else:
+                assert validate_chains(dec.chains, obliques) == []
+        assert 100 < broken < 200
+
     # (chains, obliques as (chain, position) pairs, typed error of the first
     # violation, whether the case can be written as a quiver)
     ONE_CASE_PER_CODE = {
@@ -735,32 +776,27 @@ class TestOrderWork:
 
     def test_each_zigzag_walked_once(self, monkeypatch):
         # from a JSON dict to the constructed MGS, each chain pair's zigzag
-        # is walked once, by the validation; the per-arrow scan that names
-        # a broken rule runs once per broken pair, and never on valid input
+        # is walked once, by the validation; on broken input each pair is
+        # walked once too, and the walk names the rule it breaks
         dec = random_decomposition(5, 30, 400)
         pairs = {frozenset((src.chain, dst.chain)) for src, dst in dec.obliques}
         data = decomposition_to_dict(dec)
-        walked, scanned = Counter(), Counter()
+        walked = Counter()
+        real = decomposition._zigzag
 
-        def counting(name, counter):
-            real = getattr(decomposition, name)
+        def counted(layout, arrows):
+            walked[frozenset(layout.chain_of[x] for x in arrows[0])] += 1
+            return real(layout, arrows)
 
-            def counted(layout, arrows):
-                counter[frozenset(layout.chain_of[x] for x in arrows[0])] += 1
-                return real(layout, arrows)
-
-            monkeypatch.setattr(decomposition, name, counted)
-
-        counting("_zigzag", walked)
-        counting("_zigzag_fault", scanned)
+        monkeypatch.setattr(decomposition, "_zigzag", counted)
         construct_mgs(decomposition_from_dict(data))
         assert len(pairs) == 29  # the edges of a tree on 30 chains
         assert walked == Counter(dict.fromkeys(pairs, 1))
-        assert not scanned
+        walked.clear()
         with pytest.raises(ObliqueWithinChainError):
             build_decomposition(TestViolationOrder.CHAINS, TestViolationOrder.OBLIQUES)
-        broken = {frozenset((1, 2)), frozenset((1, 3)), frozenset((2, 3))}
-        assert scanned == Counter(dict.fromkeys(broken, 1))
+        pairs = {frozenset((1, 2)), frozenset((1, 3)), frozenset((2, 3)), frozenset((3, 4))}
+        assert walked == Counter(dict.fromkeys(pairs, 1))
 
     def test_cover_list_has_no_repeats(self, monkeypatch):
         handed = []
@@ -811,6 +847,14 @@ class TestConstructMgs:
         seq = construct_mgs(dec)
         assert seq.steps == ("x1", "x2", "y", "x1")
         assert is_maximal_green_sequence(underlying_quiver(dec), seq)
+        # a sequence that starts at a chain top breaks each shape rule
+        assert check_step_shapes(dec, MutationSequence(("x2", "x1", "x2"))) == [
+            "step 0: same-chain arrow out of 'x2' to 'x1'",
+            "step 0: cross-chain arrow into 'x2' from 'y'",
+            "step 1: same-chain arrow out of 'x1' to 'x2'",
+            "step 2: same-chain arrow out of 'x2' to 'x1'",
+            "step 2: frozen arrow into 'x2' from \"x2'\"",
+        ]
 
     def test_random_suite_verifies_with_shapes_and_restriction(self):
         for seed in range(60):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from conftest import random_ice_quiver
 from greenseq.graph_rule import arrows_of, mutate_arrows, mutate_by_graph_rule
-from greenseq.quiver import IceQuiver, frame, make_quiver, mutate
+from greenseq.quiver import FrozenVertexMutationError, IceQuiver, frame, make_quiver, mutate
 
 
 def test_sink_reversal():
@@ -30,6 +31,14 @@ def test_frozen_frozen_composites_skipped():
     assert ("f", "g") not in new
     assert new[("m", "g")] == 1
     assert mutate_by_graph_rule(iq, "k") == mutate(iq, "k")
+
+
+def test_frozen_vertex_refused():
+    # like the matrix rule, the graph rule mutates no frozen vertex
+    iq = IceQuiver(make_quiver(["1", "2"], [("2", "1")]), frozenset(["2"]))
+    for rule in (mutate_by_graph_rule, mutate):
+        with pytest.raises(FrozenVertexMutationError, match="cannot mutate frozen vertex '2'"):
+            rule(iq, "2")
 
 
 def test_agreement_on_random_mutations():

@@ -62,6 +62,14 @@ def test_repr_and_equality_with_another_type(make, text):
     assert obj != a2().vertices and obj == obj
 
 
+def test_ice_quiver_hash_agrees_with_equality():
+    # equal ice quivers hash alike, so a set holds each once
+    same = {IceQuiver(a2(), frozenset({"1"})), IceQuiver(a2(), frozenset(["1"]))}
+    assert len(same) == 1
+    assert IceQuiver(a2(), frozenset({"1"})) != IceQuiver(a2(), frozenset({"2"}))
+    assert len(same | {IceQuiver(a2(), frozenset({"2"}))}) == 2
+
+
 class TestMakeQuiver:
     def test_direct_construction(self):
         q = make_quiver([1, 2], [(2, 1, 1)])

@@ -344,6 +344,18 @@ def test_dot_framed_state():
     assert '"2" -> "1";' in dot
 
 
+def test_dot_plain_quiver_has_unfilled_circles():
+    # a quiver without a framing has no colours to draw
+    dot = to_dot(make_quiver(["1", "2"], [("2", "1", 2)]), name="plain")
+    assert dot.splitlines() == [
+        "digraph plain {",
+        '  "1" [shape=circle];',
+        '  "2" [shape=circle];',
+        '  "2" -> "1" [label="2"];',
+        "}",
+    ]
+
+
 def test_dot_colors_follow_state():
     q = make_quiver(["1", "2"], [("2", "1")])
     final = final_state(frame(q), ["2", "1"])

@@ -183,32 +183,24 @@ class TestDecompose:
         assert expected_mgs_length(dec) == 10
 
     def test_triangle_pinned(self):
-        dec = type_a_decompose(triangle(), pinned=["3"])
+        dec = type_a_decompose(triangle(), pin="3")
         assert set(dec.chains) == {("3",), ("2", "1")}
 
     def test_single_vertex_pinned(self):
         q = make_quiver(["v"], [])
-        dec = type_a_decompose(q, pinned=["v"])
+        dec = type_a_decompose(q, pin="v")
         assert dec.chains == (("v",),)
 
     def test_pinned_must_be_connecting(self):
         with pytest.raises(PinnedNotConnectingError):
-            type_a_decompose(fig8_quiver(), pinned=["3"])  # degree 4
-
-    def test_two_pins_in_one_triangle_infeasible(self):
-        from greenseq.type_a import PinningInfeasibleError
-
-        with pytest.raises(PinningInfeasibleError):
-            type_a_decompose(triangle(), pinned=["1", "2"])
+            type_a_decompose(fig8_quiver(), pin="3")  # degree 4
 
     def test_two_pins_in_one_glued_block_infeasible(self):
-        from greenseq.type_a import PinningInfeasibleError
-
-        # triangles 1, 2, 3 and 3, 4, 5 glued at 3; 1 and 5 are connecting
+        # triangles 1, 2, 3 and 3, 4, 5 glued at 3; 1 and 5 are connecting.
+        # Only one vertex can be pinned, and a pin in the second triangle
+        # makes that one the root of the walk
         q = make_quiver([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)])
-        with pytest.raises(PinningInfeasibleError, match="one glued triangle block"):
-            type_a_decompose(q, pinned=["1", "5"])
-        dec = type_a_decompose(q, pinned=["5"])
+        dec = type_a_decompose(q, pin="5")
         assert dec.chains[0] == ("5",) and is_maximal_green_sequence(q, construct_mgs(dec))
 
     def test_linear_shapes(self):
@@ -227,7 +219,7 @@ class TestDecompose:
         walks = [q for n in range(4, 10) for _ in range(3) for q in mutation_walk(rng, "A", n)]
         for q in type_a_samples() + walks:
             for pin in sorted(_connecting(q, triangles(q))):
-                dec = type_a_decompose(q, pinned=[pin])
+                dec = type_a_decompose(q, pin=pin)
                 assert (pin,) in dec.chains
                 assert is_maximal_green_sequence(q, construct_mgs(dec))
 
